@@ -1,11 +1,12 @@
 """Exact transition amplitudes <b|U|a> = (N0 - N1)/sqrt(2)^h.
 
 N0 and N1 count the path-variable assignments x that reach output b from
-input a with phase 0 and 1 respectively.  Counting is available two ways:
-brute force over all 2^h assignments, and Groebner-based root counting of
-the bound systems F0/F1.  Amplitudes live in the subring of Z[1/sqrt(2)]
-of values m * sqrt(2)^(-e); all arithmetic is exact and no floating point
-appears anywhere.
+input a with phase 0 and 1 respectively.  Counting is available two ways,
+each with one kernel: brute force over all 2^h assignments, as 2^h-bit truth
+tables of the bound row and phase polynomials, and Groebner-based root
+counting of the bound systems F0/F1.  Amplitudes live in the subring of
+Z[1/sqrt(2)] of values m * sqrt(2)^(-e); all arithmetic is exact and no
+floating point appears anywhere.
 """
 from __future__ import annotations
 
@@ -18,11 +19,7 @@ from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
 from .gf2poly import Poly, input_var
-from .groebner import (
-    ROOT_COUNT_VARIABLE_CAP,
-    _count_standard,
-    _gb_masks,
-)
+from .groebner import _check_root_count_cap, _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
 MATRIX_QUBIT_CAP = 10
@@ -145,46 +142,47 @@ def _bound_x_masks(
     return rows, phase
 
 
-def _eval_masks(masks: Sequence[int], sigma: int) -> int:
-    value = 0
-    for m in masks:
-        value ^= (m & ~sigma) == 0
-    return value
+def _bits(index: int, n: int) -> tuple[int, ...]:
+    """Big-endian n-bit tuple of a basis index."""
+    return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def _brute_tables(
+    ps: PolySystem, a: "str | Sequence[int]"
+) -> tuple[list[int], int, int]:
+    """Bind a and tabulate every row and the phase over all 2^h assignments.
+
+    Returns the row truth tables, the phase truth table and the all-ones
+    table; bit sigma of a table is the polynomial's value at assignment sigma.
+    """
+    if ps.h > BRUTE_HADAMARD_CAP:
+        raise CapExceeded(
+            f"brute force over 2^{ps.h} assignments exceeds cap 2^{BRUTE_HADAMARD_CAP}"
+        )
+    rows, phase = _bound_x_masks(ps, parse_bits(a, ps.n, "a"))
+    width = 1 << ps.h
+    patterns = _truth_table_patterns(ps.h)
+    row_tables = [_truth_table(masks, patterns, width) for masks in rows]
+    return row_tables, _truth_table(phase, patterns, width), (1 << width) - 1
+
+
+def _brute_pair(
+    row_tables: Sequence[int], phase_table: int, full: int, bbits: Sequence[int]
+) -> CountPair:
+    """Count the assignments whose rows all match b, split by phase."""
+    match = full
+    for table, bit in zip(row_tables, bbits):
+        match &= table if bit else table ^ full
+    n1 = (match & phase_table).bit_count()
+    return CountPair(match.bit_count() - n1, n1)
 
 
 def count_bruteforce(
-    ps: PolySystem,
-    a: "str | Sequence[int]",
-    b: "str | Sequence[int]",
-    h_cap: int = BRUTE_HADAMARD_CAP,
+    ps: PolySystem, a: "str | Sequence[int]", b: "str | Sequence[int]"
 ) -> CountPair:
-    """Enumerate all 2^h path assignments, comparing each row value with b."""
-    if ps.h > h_cap:
-        raise CapExceeded(f"brute force over 2^{ps.h} assignments exceeds cap 2^{h_cap}")
-    abits = parse_bits(a, ps.n, "a")
-    bbits = parse_bits(b, ps.n, "b")
-    rows, phase = _bound_x_masks(ps, abits)
-    targets = list(zip(rows, bbits))
-    n0 = n1 = 0
-    for sigma in range(1 << ps.h):
-        if all(_eval_masks(masks, sigma) == bit for masks, bit in targets):
-            if _eval_masks(phase, sigma):
-                n1 += 1
-            else:
-                n0 += 1
-    return CountPair(n0, n1)
-
-
-def _count_roots_masks(gens: list[tuple[int, ...]], h: int) -> int:
-    """Root count of bound mask systems over the h compact path variables."""
-    if h > ROOT_COUNT_VARIABLE_CAP:
-        raise CapExceeded(
-            f"root counting over {h} variables exceeds the cap of "
-            f"{ROOT_COUNT_VARIABLE_CAP}"
-        )
-    basis = _gb_masks(gens, h)
-    lms = [g[0] for g in basis]
-    return _count_standard(lms, (1 << h) - 1)
+    """Enumerate all 2^h path assignments as truth tables and look up b."""
+    tables = _brute_tables(ps, a)
+    return _brute_pair(*tables, parse_bits(b, ps.n, "b"))
 
 
 def _toggle_constant(masks: tuple[int, ...], bit: int) -> tuple[int, ...]:
@@ -196,6 +194,22 @@ def _toggle_constant(masks: tuple[int, ...], bit: int) -> tuple[int, ...]:
     return (*masks, 0)
 
 
+def _gb_pair(
+    rows: Sequence[tuple[int, ...]],
+    phase: tuple[int, ...],
+    bbits: Sequence[int],
+    h: int,
+) -> CountPair:
+    """Root counts of the bound F0 and F1 over the h compact path variables."""
+    _check_root_count_cap(h)
+    f = [_toggle_constant(masks, bit) for masks, bit in zip(rows, bbits)]
+    counts = []
+    for last in (phase, _toggle_constant(phase, 1)):
+        basis = _gb_masks([*f, last], h)
+        counts.append(_count_standard([g[0] for g in basis], (1 << h) - 1))
+    return CountPair(*counts)
+
+
 def count_groebner(
     ps: PolySystem, a: "str | Sequence[int]", b: "str | Sequence[int]"
 ) -> CountPair:
@@ -203,10 +217,7 @@ def count_groebner(
     abits = parse_bits(a, ps.n, "a")
     bbits = parse_bits(b, ps.n, "b")
     rows, phase = _bound_x_masks(ps, abits)
-    f = [_toggle_constant(masks, bit) for masks, bit in zip(rows, bbits)]
-    n0 = _count_roots_masks([*f, phase], ps.h)
-    n1 = _count_roots_masks([*f, _toggle_constant(phase, 1)], ps.h)
-    return CountPair(n0, n1)
+    return _gb_pair(rows, phase, bbits, ps.h)
 
 
 def count_paths(
@@ -214,11 +225,10 @@ def count_paths(
     a: "str | Sequence[int]",
     b: "str | Sequence[int]",
     method: Method = Method.BRUTE,
-    h_cap: int = BRUTE_HADAMARD_CAP,
 ) -> CountPair:
     """Count paths by the chosen method."""
     if method is Method.BRUTE:
-        return count_bruteforce(ps, a, b, h_cap=h_cap)
+        return count_bruteforce(ps, a, b)
     return count_groebner(ps, a, b)
 
 
@@ -227,11 +237,10 @@ def element(
     a: "str | Sequence[int]",
     b: "str | Sequence[int]",
     method: Method = Method.BRUTE,
-    h_cap: int = BRUTE_HADAMARD_CAP,
 ) -> Amplitude:
     """The exact matrix element <b|U|a> = (N0 - N1) * sqrt(2)^(-h)."""
     ps = compile_circuit(circuit)
-    pair = count_paths(ps, a, b, method=method, h_cap=h_cap)
+    pair = count_paths(ps, a, b, method=method)
     return Amplitude(pair.n0 - pair.n1, ps.h)
 
 
@@ -265,62 +274,33 @@ def row_counts(
     ps: PolySystem,
     a: "str | Sequence[int]",
     method: Method = Method.BRUTE,
-    h_cap: int = BRUTE_HADAMARD_CAP,
 ) -> tuple[CountPair, ...]:
     """CountPairs for all 2^N outputs b (ascending big-endian), fixed input a.
 
-    The brute path builds one 2^h-bit truth table per row polynomial and per
-    phase, then each b is an AND of matched tables: the same enumeration as
-    count_bruteforce, batched across all outputs.
+    The brute path builds the truth tables once, as count_bruteforce does,
+    and each b is an AND of matched row tables; the GB path runs F0 and F1
+    for every b.
     """
-    abits = parse_bits(a, ps.n, "a")
+    outputs = range(1 << ps.n)
     if method is Method.GB:
-        rows, phase = _bound_x_masks(ps, abits)
-        out = []
-        for bidx in range(1 << ps.n):
-            f = [
-                _toggle_constant(masks, (bidx >> (ps.n - 1 - i)) & 1)
-                for i, masks in enumerate(rows)
-            ]
-            n0 = _count_roots_masks([*f, phase], ps.h)
-            n1 = _count_roots_masks([*f, _toggle_constant(phase, 1)], ps.h)
-            out.append(CountPair(n0, n1))
-        return tuple(out)
-    if ps.h > h_cap:
-        raise CapExceeded(f"brute force over 2^{ps.h} assignments exceeds cap 2^{h_cap}")
-    rows, phase = _bound_x_masks(ps, abits)
-    width = 1 << ps.h
-    full = (1 << width) - 1
-    patterns = _truth_table_patterns(ps.h)
-    row_tables = [_truth_table(masks, patterns, width) for masks in rows]
-    phase_table = _truth_table(phase, patterns, width)
-    out = []
-    for bidx in range(1 << ps.n):
-        match = full
-        for i, table in enumerate(row_tables):
-            bit = (bidx >> (ps.n - 1 - i)) & 1
-            match &= table if bit else table ^ full
-        n1 = (match & phase_table).bit_count()
-        out.append(CountPair(match.bit_count() - n1, n1))
-    return tuple(out)
+        rows, phase = _bound_x_masks(ps, parse_bits(a, ps.n, "a"))
+        return tuple(_gb_pair(rows, phase, _bits(b, ps.n), ps.h) for b in outputs)
+    tables = _brute_tables(ps, a)
+    return tuple(_brute_pair(*tables, _bits(b, ps.n)) for b in outputs)
 
 
 def full_matrix(
-    circuit: Circuit,
-    method: Method = Method.BRUTE,
-    qubit_cap: int = MATRIX_QUBIT_CAP,
-    h_cap: int = BRUTE_HADAMARD_CAP,
+    circuit: Circuit, method: Method = Method.BRUTE
 ) -> tuple[tuple[Amplitude, ...], ...]:
     """The 2^N x 2^N matrix of <b|U|a>: rows indexed by a, columns by b."""
-    if circuit.n_qubits > qubit_cap:
+    if circuit.n_qubits > MATRIX_QUBIT_CAP:
         raise CapExceeded(
-            f"matrix over {circuit.n_qubits} qubits exceeds the cap of {qubit_cap}"
+            f"matrix over {circuit.n_qubits} qubits exceeds the cap of {MATRIX_QUBIT_CAP}"
         )
     ps = compile_circuit(circuit)
     matrix = []
     for aidx in range(1 << ps.n):
-        abits = tuple((aidx >> (ps.n - 1 - i)) & 1 for i in range(ps.n))
-        pairs = row_counts(ps, abits, method=method, h_cap=h_cap)
+        pairs = row_counts(ps, _bits(aidx, ps.n), method=method)
         matrix.append(tuple(Amplitude(p.n0 - p.n1, ps.h) for p in pairs))
     return tuple(matrix)
 

@@ -63,9 +63,6 @@ def column_states(circuit: Circuit) -> Iterator[tuple[tuple[Poly, ...], Poly]]:
 
 def compile_circuit(circuit: Circuit) -> PolySystem:
     """Compile a circuit column by column into its polynomial system."""
-    universe = VarUniverse.for_circuit(circuit.h, circuit.n_qubits)
-    rows = tuple(Poly.variable(universe, input_var(i)) for i in range(1, circuit.n_qubits + 1))
-    phase = Poly.zero(universe)
     for rows, phase in column_states(circuit):
         pass
     return PolySystem(row_polys=rows, phase=phase, h=circuit.h, n=circuit.n_qubits)

@@ -10,14 +10,20 @@ which is the S-polynomial of g with v^2 + v after reduction by the field
 relations.  Processing those pairs restores Buchberger's criterion in the
 quotient ring.
 
-Two interchangeable kernels operate on monomial bitmasks pre-permuted by the
-term order's key, so monomial comparison is integer comparison:
+One Buchberger core, _buchberger, holds the pair queue, the registration of
+new generators and the final interreduction.  It runs over either of two
+polynomial representations on monomial bitmasks pre-permuted by the term
+order's key, so monomial comparison is integer comparison.  Both add with
+XOR; each supplies its unit, leading monomial, monomial multiply and normal
+form:
 
-- dense (universes up to 14 variables): a polynomial is one Python integer
-  whose bit i is the coefficient of the monomial with variable mask i.
-  Addition is XOR, the leading monomial is the top bit, and multiplying by a
-  monomial ORs the mask into every bit index.
-- sparse (larger universes): a polynomial is a set of masks.
+- dense: a polynomial is one Python integer whose bit i is the coefficient
+  of the monomial with variable mask i.  The leading monomial is the top bit,
+  and multiplying by a monomial ORs the mask into every bit index.
+- sparse: a polynomial is a frozenset of masks.
+
+_representation is the one place that chooses between them: dense for
+universes of at most DENSE_VARIABLE_LIMIT variables, sparse above.
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .gf2poly import Monomial, Poly, TermOrder, Variable, VarUniverse
@@ -37,7 +43,7 @@ ROOT_COUNT_VARIABLE_CAP = 20
 
 
 # ---------------------------------------------------------------------------
-# dense kernel: polynomial = one bigint, bit index = monomial mask
+# dense representation: polynomial = one bigint, bit index = monomial mask
 
 def _dense_from_masks(masks: Iterable[int]) -> int:
     p = 0
@@ -53,6 +59,10 @@ def _dense_to_masks(p: int) -> tuple[int, ...]:
         p ^= low
         masks.append(low.bit_length() - 1)
     return tuple(reversed(masks))
+
+
+def _dense_lead(p: int) -> int:
+    return p.bit_length() - 1
 
 
 def _dense_mul_mono(p: int, q: int) -> int:
@@ -83,60 +93,19 @@ def _dense_nf(p: int, lms: Sequence[int], polys: Sequence[int]) -> int:
     return out
 
 
-def _dense_buchberger(inputs: Iterable[int]) -> list[int]:
-    """Reduced Groebner basis of dense polynomials; [] empty, [1] inconsistent."""
-    gens: list[int] = []
-    lms: list[int] = []
-    pairs: list[tuple[int, int, int, int]] = []
-
-    def register(p: int) -> None:
-        idx = len(gens)
-        lm = p.bit_length() - 1
-        for j in range(idx):
-            if lms[j] & lm:
-                heapq.heappush(pairs, (lms[j] | lm, 0, j, idx))
-        rest = lm
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            heapq.heappush(pairs, (lm, 1, idx, low))
-        gens.append(p)
-        lms.append(lm)
-
-    for p in inputs:
-        p = _dense_nf(p, lms, gens)
-        if p == 1:
-            return [1]
-        if p:
-            register(p)
-    while pairs:
-        _, kind, i, j = heapq.heappop(pairs)
-        if kind == 0:
-            lcm = lms[i] | lms[j]
-            s = _dense_mul_mono(gens[i], lcm & ~lms[i]) ^ _dense_mul_mono(gens[j], lcm & ~lms[j])
-        else:
-            s = _dense_mul_mono(gens[i], j)
-        s = _dense_nf(s, lms, gens)
-        if s == 1:
-            return [1]
-        if s:
-            register(s)
-    keep: list[int] = []
-    for i in sorted(range(len(gens)), key=lambda k: lms[k]):
-        if not any(lms[k] & lms[i] == lms[k] for k in keep):
-            keep.append(i)
-    reduced = []
-    for i in keep:
-        other_lms = [lms[k] for k in keep if k != i]
-        other_polys = [gens[k] for k in keep if k != i]
-        reduced.append(_dense_nf(gens[i], other_lms, other_polys))
-    return sorted(reduced, reverse=True)
-
-
 # ---------------------------------------------------------------------------
-# sparse kernel: polynomial = frozenset of masks
+# sparse representation: polynomial = frozenset of masks
 
-def _sparse_mul_mono(p: frozenset[int], q: int) -> frozenset[int]:
+def _sparse_from_masks(masks: Iterable[int]) -> frozenset[int]:
+    """Sum of monomials: masks that occur an even number of times cancel."""
+    return _sparse_mul_mono(masks, 0)
+
+
+def _sparse_to_masks(p: frozenset[int]) -> tuple[int, ...]:
+    return tuple(sorted(p, reverse=True))
+
+
+def _sparse_mul_mono(p: Iterable[int], q: int) -> frozenset[int]:
     out: set[int] = set()
     for m in p:
         mq = m | q
@@ -170,15 +139,43 @@ def _sparse_nf(
     return frozenset(out)
 
 
-def _sparse_buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    gens: list[frozenset[int]] = []
+# ---------------------------------------------------------------------------
+# the Buchberger core, generic over the representation
+
+class _Representation(NamedTuple):
+    unit: Any
+    lead: Callable[[Any], int]
+    mul_mono: Callable[[Any, int], Any]
+    nf: Callable[[Any, Sequence[int], Sequence[Any]], Any]
+    from_masks: Callable[[Iterable[int]], Any]
+    to_masks: Callable[[Any], tuple[int, ...]]
+
+
+_DENSE = _Representation(
+    1, _dense_lead, _dense_mul_mono, _dense_nf, _dense_from_masks, _dense_to_masks
+)
+_SPARSE = _Representation(
+    frozenset((0,)), max, _sparse_mul_mono, _sparse_nf, _sparse_from_masks, _sparse_to_masks
+)
+
+
+def _representation(n_vars: int) -> _Representation:
+    return _DENSE if n_vars <= DENSE_VARIABLE_LIMIT else _SPARSE
+
+
+def _buchberger(inputs: Iterable[Any], rep: _Representation) -> list[Any]:
+    """Reduced Groebner basis, descending by leading monomial.
+
+    Returns [] for the zero ideal and [rep.unit] for an inconsistent system.
+    """
+    unit, lead, mul_mono, nf = rep.unit, rep.lead, rep.mul_mono, rep.nf
+    gens: list[Any] = []
     lms: list[int] = []
     pairs: list[tuple[int, int, int, int]] = []
-    unit = frozenset((0,))
 
-    def register(p: frozenset[int]) -> None:
+    def register(p: Any) -> None:
         idx = len(gens)
-        lm = max(p)
+        lm = lead(p)
         for j in range(idx):
             if lms[j] & lm:
                 heapq.heappush(pairs, (lms[j] | lm, 0, j, idx))
@@ -191,7 +188,7 @@ def _sparse_buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]
         lms.append(lm)
 
     for p in inputs:
-        p = _sparse_nf(p, lms, gens)
+        p = nf(p, lms, gens)
         if p == unit:
             return [unit]
         if p:
@@ -200,12 +197,10 @@ def _sparse_buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]
         _, kind, i, j = heapq.heappop(pairs)
         if kind == 0:
             lcm = lms[i] | lms[j]
-            s = _sparse_mul_mono(gens[i], lcm & ~lms[i]) ^ _sparse_mul_mono(
-                gens[j], lcm & ~lms[j]
-            )
+            s = mul_mono(gens[i], lcm & ~lms[i]) ^ mul_mono(gens[j], lcm & ~lms[j])
         else:
-            s = _sparse_mul_mono(gens[i], j)
-        s = _sparse_nf(s, lms, gens)
+            s = mul_mono(gens[i], j)
+        s = nf(s, lms, gens)
         if s == unit:
             return [unit]
         if s:
@@ -218,8 +213,8 @@ def _sparse_buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]
     for i in keep:
         other_lms = [lms[k] for k in keep if k != i]
         other_polys = [gens[k] for k in keep if k != i]
-        reduced.append(_sparse_nf(gens[i], other_lms, other_polys))
-    return sorted(reduced, key=max, reverse=True)
+        reduced.append(nf(gens[i], other_lms, other_polys))
+    return sorted(reduced, key=lead, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +222,9 @@ def _sparse_buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]
 
 def _gb_masks(mask_polys: Iterable[Iterable[int]], n_vars: int) -> list[tuple[int, ...]]:
     """Reduced basis on raw mask polynomials (already in key space), descending."""
-    if n_vars <= DENSE_VARIABLE_LIMIT:
-        dense = _dense_buchberger(_dense_from_masks(p) for p in mask_polys)
-        return [_dense_to_masks(p) for p in dense]
-    sparse = _sparse_buchberger(
-        frozenset(_xor_masks(p)) for p in mask_polys
-    )
-    return [tuple(sorted(p, reverse=True)) for p in sparse]
-
-
-def _xor_masks(masks: Iterable[int]) -> set[int]:
-    acc: set[int] = set()
-    for m in masks:
-        if m in acc:
-            acc.discard(m)
-        else:
-            acc.add(m)
-    return acc
+    rep = _representation(n_vars)
+    basis = _buchberger((rep.from_masks(p) for p in mask_polys), rep)
+    return [rep.to_masks(p) for p in basis]
 
 
 def _nf_masks(
@@ -252,13 +233,19 @@ def _nf_masks(
     n_vars: int,
 ) -> tuple[int, ...]:
     """Normal form on raw mask polynomials (already in key space), descending."""
+    rep = _representation(n_vars)
     lms = [b[0] for b in basis]
-    if n_vars <= DENSE_VARIABLE_LIMIT:
-        polys = [_dense_from_masks(b) for b in basis]
-        return _dense_to_masks(_dense_nf(_dense_from_masks(p_masks), lms, polys))
-    sparse = [frozenset(b) for b in basis]
-    out = _sparse_nf(frozenset(_xor_masks(p_masks)), lms, sparse)
-    return tuple(sorted(out, reverse=True))
+    polys = [rep.from_masks(b) for b in basis]
+    return rep.to_masks(rep.nf(rep.from_masks(p_masks), lms, polys))
+
+
+def _check_root_count_cap(n_vars: int) -> None:
+    """Refuse root counting over more than ROOT_COUNT_VARIABLE_CAP variables."""
+    if n_vars > ROOT_COUNT_VARIABLE_CAP:
+        raise CapExceeded(
+            f"root counting over {n_vars} variables exceeds the cap of "
+            f"{ROOT_COUNT_VARIABLE_CAP}"
+        )
 
 
 def _count_standard(lms: Sequence[int], var_mask: int) -> int:
@@ -369,13 +356,7 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder | None = None) -> Poly:
     gk = [order.key(m) for m in g.monomial_masks]
     lmf, lmg = max(fk), max(gk)
     lcm = lmf | lmg
-    s = _xor_masks(m | (lcm & ~lmf) for m in fk)
-    for m in gk:
-        t = m | (lcm & ~lmg)
-        if t in s:
-            s.discard(t)
-        else:
-            s.add(t)
+    s = _sparse_mul_mono(fk, lcm & ~lmf) ^ _sparse_mul_mono(gk, lcm & ~lmg)
     return Poly(universe, (order.unkey(k) for k in s))
 
 
@@ -435,11 +416,7 @@ def count_roots(G: GroebnerBasis, variables: Iterable[Variable]) -> int:
     """
     vs = tuple(dict.fromkeys(variables))
     var_mask = G.universe.mask_of(vs)
-    if len(vs) > ROOT_COUNT_VARIABLE_CAP:
-        raise CapExceeded(
-            f"count_roots over {len(vs)} variables exceeds the cap of "
-            f"{ROOT_COUNT_VARIABLE_CAP}"
-        )
+    _check_root_count_cap(len(vs))
     lms = []
     for g in G.generators:
         if g.is_zero:

@@ -15,6 +15,9 @@ from pathpoly import (
     Circuit,
     CountPair,
     Method,
+    Poly,
+    VarUniverse,
+    assemble_systems,
     bit_label,
     compile_circuit,
     count_bruteforce,
@@ -28,7 +31,7 @@ from pathpoly import (
     row_counts,
 )
 
-from conftest import DEMO_MATRIX, circuits
+from conftest import DEMO_MATRIX, brute_root_count, circuits
 
 
 def amplitudes(parity: int | None = None) -> st.SearchStrategy[Amplitude]:
@@ -224,6 +227,21 @@ def test_row_counts_match_per_entry_counts(c, a_index):
     singles = [count_bruteforce(ps, a, bit_label(b, ps.n)) for b in range(1 << ps.n)]
     assert list(brute) == singles
     assert list(gb) == singles
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuits(max_qubits=3, max_columns=4, max_h=8), st.data())
+def test_count_bruteforce_matches_point_evaluation(c, data):
+    # the truth-table kernel against one evaluation per path of the bound F0/F1
+    ps = compile_circuit(c)
+    a = bit_label(data.draw(st.integers(0, (1 << ps.n) - 1)), ps.n)
+    b = bit_label(data.draw(st.integers(0, (1 << ps.n) - 1)), ps.n)
+    paths = VarUniverse.of_paths(ps.h)
+    f0, f1 = (
+        [Poly.parse(str(p), paths) for p in system] for system in assemble_systems(ps, a, b)
+    )
+    expected = CountPair(brute_root_count(f0, paths), brute_root_count(f1, paths))
+    assert count_bruteforce(ps, a, b) == expected
 
 
 # rendering

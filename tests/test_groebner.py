@@ -21,14 +21,7 @@ from pathpoly import (
     path_var,
     s_polynomial,
 )
-from pathpoly.groebner import (
-    _count_standard,
-    _dense_buchberger,
-    _dense_from_masks,
-    _dense_to_masks,
-    _sparse_buchberger,
-    _xor_masks,
-)
+from pathpoly.groebner import _DENSE, _SPARSE, _buchberger, _count_standard
 
 from conftest import brute_root_count, polys_over, universe_and_polys
 
@@ -247,12 +240,11 @@ def test_s_polynomial_cancels_leading_terms(up):
 def test_dense_and_sparse_kernels_agree(n_vars, data):
     mask = st.integers(0, (1 << n_vars) - 1)
     systems = data.draw(st.lists(st.lists(mask, max_size=5), min_size=1, max_size=4))
-    canonical = [_xor_masks(ms) for ms in systems]
-    dense_in = [_dense_from_masks(ms) for ms in canonical if ms]
-    sparse_in = [frozenset(ms) for ms in canonical if ms]
-    dense_out = {frozenset(_dense_to_masks(g)) for g in _dense_buchberger(dense_in)}
-    sparse_out = set(_sparse_buchberger(sparse_in))
-    assert dense_out == sparse_out
+    outputs = []
+    for rep in (_DENSE, _SPARSE):
+        basis = _buchberger([rep.from_masks(ms) for ms in systems], rep)
+        outputs.append([rep.to_masks(g) for g in basis])
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=80, deadline=None)
