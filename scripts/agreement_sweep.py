@@ -3,12 +3,14 @@
 
 Samples random valid circuits, computes the full matrix by brute-force
 counting, by Groebner counting and by the dense oracle, and reports exact
-agreement plus timing and structural-invariant statistics.
+agreement plus timing and structural-invariant statistics.  Exits 1 when
+any matrix mismatch, conservation failure or unitarity failure occurs.
 """
 from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
 
@@ -23,7 +25,7 @@ from pathpoly import (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--circuits", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
@@ -67,7 +69,9 @@ def main() -> None:
     print(f"exact unitarity holds:   {unitary} / {len(circuits)}")
     for name, seconds in timings.items():
         print(f"{name:9s} {seconds:7.2f}s")
+    failed = mismatches or conserved < len(circuits) or unitary < len(circuits)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

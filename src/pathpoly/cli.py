@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_circuit(path: str) -> Circuit:
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_circuit(text)

@@ -121,10 +121,6 @@ class VarUniverse:
         size = len(self.variables)
         return tuple(v for i, v in enumerate(self.variables) if mask >> (size - 1 - i) & 1)
 
-    @property
-    def path_mask(self) -> int:
-        return self.mask_of(v for v in self.variables if v.kind is VarKind.PATH)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VarUniverse) and self.variables == other.variables
 
@@ -323,16 +319,6 @@ class Poly:
     @classmethod
     def variable(cls, universe: VarUniverse, v: Variable) -> "Poly":
         return cls(universe, (1 << universe.bit(v),))
-
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[Monomial]) -> "Poly":
-        ms = list(monomials)
-        if not ms:
-            raise ValueError("cannot infer universe from no monomials; use Poly.zero")
-        u = ms[0].universe
-        for m in ms:
-            _check_same_universe(u, m.universe)
-        return cls(u, (m.mask for m in ms))
 
     @property
     def monomial_masks(self) -> tuple[int, ...]:

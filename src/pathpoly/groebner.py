@@ -11,19 +11,11 @@ relations.  Processing those pairs restores Buchberger's criterion in the
 quotient ring.
 
 One Buchberger core, _buchberger, holds the pair queue, the registration of
-new generators and the final interreduction.  It runs over either of two
-polynomial representations on monomial bitmasks pre-permuted by the term
-order's key, so monomial comparison is integer comparison.  Both add with
-XOR; each supplies its unit, leading monomial, monomial multiply and normal
-form:
-
-- dense: a polynomial is one Python integer whose bit i is the coefficient
-  of the monomial with variable mask i.  The leading monomial is the top bit,
-  and multiplying by a monomial ORs the mask into every bit index.
-- sparse: a polynomial is a frozenset of masks.
-
-_representation is the one place that chooses between them: dense for
-universes of at most DENSE_VARIABLE_LIMIT variables, sparse above.
+new generators and the final interreduction.  A polynomial is a frozenset of
+monomial bitmasks, pre-permuted by the term order's key, so monomial
+comparison is integer comparison and the leading monomial is the maximum.
+Addition is symmetric difference, and multiplying by a monomial ORs its mask
+into every term.
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -33,79 +25,27 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 from .gf2poly import Monomial, Poly, TermOrder, Variable, VarUniverse
 
-DENSE_VARIABLE_LIMIT = 14
 ROOT_COUNT_VARIABLE_CAP = 20
 
 
 # ---------------------------------------------------------------------------
-# dense representation: polynomial = one bigint, bit index = monomial mask
+# the kernel: polynomial = frozenset of masks
 
-def _dense_from_masks(masks: Iterable[int]) -> int:
-    p = 0
-    for m in masks:
-        p ^= 1 << m
-    return p
-
-
-def _dense_to_masks(p: int) -> tuple[int, ...]:
-    masks = []
-    while p:
-        low = p & -p
-        p ^= low
-        masks.append(low.bit_length() - 1)
-    return tuple(reversed(masks))
-
-
-def _dense_lead(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def _dense_mul_mono(p: int, q: int) -> int:
-    """Multiply a dense polynomial by the monomial with mask q."""
-    if q == 0:
-        return p
-    out = 0
-    while p:
-        low = p & -p
-        p ^= low
-        out ^= 1 << ((low.bit_length() - 1) | q)
-    return out
-
-
-def _dense_nf(p: int, lms: Sequence[int], polys: Sequence[int]) -> int:
-    """Full normal form: reduce every monomial of p by the first divisor found."""
-    out = 0
-    while p:
-        mono = p.bit_length() - 1
-        for lm, g in zip(lms, polys):
-            if mono & lm == lm:
-                p ^= _dense_mul_mono(g, mono & ~lm)
-                break
-        else:
-            bit = 1 << mono
-            p ^= bit
-            out ^= bit
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sparse representation: polynomial = frozenset of masks
-
-def _sparse_from_masks(masks: Iterable[int]) -> frozenset[int]:
+def _from_masks(masks: Iterable[int]) -> frozenset[int]:
     """Sum of monomials: masks that occur an even number of times cancel."""
-    return _sparse_mul_mono(masks, 0)
+    return _mul_mono(masks, 0)
 
 
-def _sparse_to_masks(p: frozenset[int]) -> tuple[int, ...]:
+def _to_masks(p: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(p, reverse=True))
 
 
-def _sparse_mul_mono(p: Iterable[int], q: int) -> frozenset[int]:
+def _mul_mono(p: Iterable[int], q: int) -> frozenset[int]:
     out: set[int] = set()
     for m in p:
         mq = m | q
@@ -116,9 +56,10 @@ def _sparse_mul_mono(p: Iterable[int], q: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _sparse_nf(
+def _nf(
     p: frozenset[int], lms: Sequence[int], polys: Sequence[frozenset[int]]
 ) -> frozenset[int]:
+    """Full normal form: reduce every monomial of p by the first divisor found."""
     work = set(p)
     out: set[int] = set()
     while work:
@@ -139,43 +80,19 @@ def _sparse_nf(
     return frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# the Buchberger core, generic over the representation
-
-class _Representation(NamedTuple):
-    unit: Any
-    lead: Callable[[Any], int]
-    mul_mono: Callable[[Any, int], Any]
-    nf: Callable[[Any, Sequence[int], Sequence[Any]], Any]
-    from_masks: Callable[[Iterable[int]], Any]
-    to_masks: Callable[[Any], tuple[int, ...]]
-
-
-_DENSE = _Representation(
-    1, _dense_lead, _dense_mul_mono, _dense_nf, _dense_from_masks, _dense_to_masks
-)
-_SPARSE = _Representation(
-    frozenset((0,)), max, _sparse_mul_mono, _sparse_nf, _sparse_from_masks, _sparse_to_masks
-)
-
-
-def _representation(n_vars: int) -> _Representation:
-    return _DENSE if n_vars <= DENSE_VARIABLE_LIMIT else _SPARSE
-
-
-def _buchberger(inputs: Iterable[Any], rep: _Representation) -> list[Any]:
+def _buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     """Reduced Groebner basis, descending by leading monomial.
 
-    Returns [] for the zero ideal and [rep.unit] for an inconsistent system.
+    Returns [] for the zero ideal and [frozenset({0})] for an inconsistent
+    system.
     """
-    unit, lead, mul_mono, nf = rep.unit, rep.lead, rep.mul_mono, rep.nf
-    gens: list[Any] = []
+    gens: list[frozenset[int]] = []
     lms: list[int] = []
     pairs: list[tuple[int, int, int, int]] = []
 
-    def register(p: Any) -> None:
+    def register(p: frozenset[int]) -> None:
         idx = len(gens)
-        lm = lead(p)
+        lm = max(p)
         for j in range(idx):
             if lms[j] & lm:
                 heapq.heappush(pairs, (lms[j] | lm, 0, j, idx))
@@ -188,21 +105,21 @@ def _buchberger(inputs: Iterable[Any], rep: _Representation) -> list[Any]:
         lms.append(lm)
 
     for p in inputs:
-        p = nf(p, lms, gens)
-        if p == unit:
-            return [unit]
+        p = _nf(p, lms, gens)
+        if p == {0}:
+            return [p]
         if p:
             register(p)
     while pairs:
         _, kind, i, j = heapq.heappop(pairs)
         if kind == 0:
             lcm = lms[i] | lms[j]
-            s = mul_mono(gens[i], lcm & ~lms[i]) ^ mul_mono(gens[j], lcm & ~lms[j])
+            s = _mul_mono(gens[i], lcm & ~lms[i]) ^ _mul_mono(gens[j], lcm & ~lms[j])
         else:
-            s = mul_mono(gens[i], j)
-        s = nf(s, lms, gens)
-        if s == unit:
-            return [unit]
+            s = _mul_mono(gens[i], j)
+        s = _nf(s, lms, gens)
+        if s == {0}:
+            return [s]
         if s:
             register(s)
     keep: list[int] = []
@@ -213,30 +130,27 @@ def _buchberger(inputs: Iterable[Any], rep: _Representation) -> list[Any]:
     for i in keep:
         other_lms = [lms[k] for k in keep if k != i]
         other_polys = [gens[k] for k in keep if k != i]
-        reduced.append(nf(gens[i], other_lms, other_polys))
-    return sorted(reduced, key=lead, reverse=True)
+        reduced.append(_nf(gens[i], other_lms, other_polys))
+    return sorted(reduced, key=max, reverse=True)
 
 
 # ---------------------------------------------------------------------------
 # mask-level front door shared by this module and the amplitude solver
 
 def _gb_masks(mask_polys: Iterable[Iterable[int]], n_vars: int) -> list[tuple[int, ...]]:
-    """Reduced basis on raw mask polynomials (already in key space), descending."""
-    rep = _representation(n_vars)
-    basis = _buchberger((rep.from_masks(p) for p in mask_polys), rep)
-    return [rep.to_masks(p) for p in basis]
+    """Reduced basis on raw mask polynomials (already in key space), descending.
+
+    The kernel does not use n_vars; it stays in the signature because the
+    perfbench tracer reads it from this call.
+    """
+    return [_to_masks(p) for p in _buchberger(_from_masks(p) for p in mask_polys)]
 
 
-def _nf_masks(
-    p_masks: Iterable[int],
-    basis: Sequence[tuple[int, ...]],
-    n_vars: int,
-) -> tuple[int, ...]:
+def _nf_masks(p_masks: Iterable[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """Normal form on raw mask polynomials (already in key space), descending."""
-    rep = _representation(n_vars)
     lms = [b[0] for b in basis]
-    polys = [rep.from_masks(b) for b in basis]
-    return rep.to_masks(rep.nf(rep.from_masks(p_masks), lms, polys))
+    polys = [_from_masks(b) for b in basis]
+    return _to_masks(_nf(_from_masks(p_masks), lms, polys))
 
 
 def _check_root_count_cap(n_vars: int) -> None:
@@ -341,7 +255,7 @@ def normal_form(
     if not basis:
         return p
     p_keys = (order.key(m) for m in p.monomial_masks)
-    out = _nf_masks(p_keys, basis, universe.size)
+    out = _nf_masks(p_keys, basis)
     return Poly(universe, (order.unkey(k) for k in out))
 
 
@@ -356,7 +270,7 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder | None = None) -> Poly:
     gk = [order.key(m) for m in g.monomial_masks]
     lmf, lmg = max(fk), max(gk)
     lcm = lmf | lmg
-    s = _sparse_mul_mono(fk, lcm & ~lmf) ^ _sparse_mul_mono(gk, lcm & ~lmg)
+    s = _mul_mono(fk, lcm & ~lmf) ^ _mul_mono(gk, lcm & ~lmg)
     return Poly(universe, (order.unkey(k) for k in s))
 
 

@@ -109,11 +109,12 @@ def column_unitary(column: Sequence[Gate], n: int) -> ExactMatrix:
     return ExactMatrix(tuple(tuple(row) for row in rows))
 
 
-def circuit_unitary(circuit: Circuit, qubit_cap: int = ORACLE_QUBIT_CAP) -> ExactMatrix:
+def circuit_unitary(circuit: Circuit) -> ExactMatrix:
     """The full circuit unitary U = U_M ... U_1 (column 1 applied first)."""
-    if circuit.n_qubits > qubit_cap:
+    if circuit.n_qubits > ORACLE_QUBIT_CAP:
         raise CapExceeded(
-            f"dense unitary over {circuit.n_qubits} qubits exceeds the cap of {qubit_cap}"
+            f"dense unitary over {circuit.n_qubits} qubits exceeds the cap of "
+            f"{ORACLE_QUBIT_CAP}"
         )
     n = circuit.n_qubits
     rows = [list(row) for row in ExactMatrix.identity(1 << n).entries]

@@ -1,7 +1,9 @@
 """Command-line front-end: verbs, formats, exit codes."""
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,15 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
 def test_validate_ok(capsys, demo_path):
     code, out, err = run(capsys, "validate", demo_path)
     assert (code, out, err) == (0, "ok\n", "")
+
+
+def test_validate_closes_the_circuit_file(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "validate", DEMO_PATH)
+        gc.collect()
+    assert (code, out) == (0, "ok\n")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_validate_reports_broken_chain(capsys, tmp_path):

@@ -1,8 +1,6 @@
 """Buchberger in the Boolean ring: bases, normal forms, root counting."""
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +19,7 @@ from pathpoly import (
     path_var,
     s_polynomial,
 )
-from pathpoly.groebner import _DENSE, _SPARSE, _buchberger, _count_standard
+from pathpoly.groebner import _count_standard, _gb_masks
 
 from conftest import brute_root_count, polys_over, universe_and_polys
 
@@ -235,16 +233,36 @@ def test_s_polynomial_cancels_leading_terms(up):
 
 # kernel cross-checks
 
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 10), st.data())
-def test_dense_and_sparse_kernels_agree(n_vars, data):
-    mask = st.integers(0, (1 << n_vars) - 1)
+@given(st.integers(2, 16), st.data())
+def test_gb_masks_counts_roots_of_raw_systems(n_vars, data):
+    # raw systems: repeated masks cancel and polynomials may be zero, as when
+    # a bound row equals its b bit.  All masks lie within a support of at most
+    # 5 variables, so enumeration visits at most 32 points even at 16 variables.
+    positions = data.draw(st.sets(st.integers(0, n_vars - 1), max_size=5))
+    support = sum(1 << i for i in positions)
+    mask = st.integers(0, (1 << n_vars) - 1).map(lambda m: m & support)
     systems = data.draw(st.lists(st.lists(mask, max_size=5), min_size=1, max_size=4))
-    outputs = []
-    for rep in (_DENSE, _SPARSE):
-        basis = _buchberger([rep.from_masks(ms) for ms in systems], rep)
-        outputs.append([rep.to_masks(g) for g in basis])
-    assert outputs[0] == outputs[1]
+    basis = _gb_masks(systems, n_vars)
+    for g in basis:
+        assert list(g) == sorted(set(g), reverse=True)
+    lms = [g[0] for g in basis]
+    assert lms == sorted(set(lms), reverse=True)
+    roots = sum(
+        all(sum(m & point == m for m in poly) % 2 == 0 for poly in systems)
+        for point in _submasks(support)
+    )
+    expected = roots << (n_vars - len(positions))
+    assert _count_standard(lms, (1 << n_vars) - 1) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -256,19 +274,3 @@ def test_count_standard_matches_flat_enumeration(n_vars, data):
         all((s & lm) != lm for lm in lms) for s in range(1 << n_vars)
     )
     assert _count_standard(lms, var_mask) == expected
-
-
-def test_kernel_selection_is_transparent_at_scale():
-    # 16 variables forces the sparse kernel; result must match brute force
-    rng = random.Random(7)
-    u = VarUniverse.of_paths(16)
-    polys = [
-        Poly(u, [rng.randrange(1 << 16) & 0b1111 for _ in range(3)]) + (i & 1)
-        for i in range(3)
-    ]
-    G = buchberger(polys)
-    # support only touches the low 4 variables, so brute force stays cheap
-    support = sorted({v for q in polys for v in q.variables}, key=str)
-    sub = VarUniverse(v for v in u.variables if v in set(support))
-    projected = [Poly.parse(str(q), sub) for q in polys]
-    assert count_roots(G, u.variables) == brute_root_count(projected, sub) << (16 - sub.size)
