@@ -1,6 +1,8 @@
 """Buchberger in the Boolean ring: bases, normal forms, root counting."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,3 +276,19 @@ def test_count_standard_matches_flat_enumeration(n_vars, data):
         all((s & lm) != lm for lm in lms) for s in range(1 << n_vars)
     )
     assert _count_standard(lms, var_mask) == expected
+
+
+def test_kernel_selection_is_transparent_at_scale():
+    # 16 variables through the public buchberger/count_roots must match brute force
+    rng = random.Random(7)
+    u = VarUniverse.of_paths(16)
+    polys = [
+        Poly(u, [rng.randrange(1 << 16) & 0b1111 for _ in range(3)]) + (i & 1)
+        for i in range(3)
+    ]
+    G = buchberger(polys)
+    # support only touches the low 4 variables, so brute force stays cheap
+    support = sorted({v for q in polys for v in q.variables}, key=str)
+    sub = VarUniverse(v for v in u.variables if v in set(support))
+    projected = [Poly.parse(str(q), sub) for q in polys]
+    assert count_roots(G, u.variables) == brute_root_count(projected, sub) << (16 - sub.size)
