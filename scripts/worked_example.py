@@ -3,11 +3,12 @@
 
 Prints the compiled polynomial system, the symbolic Groebner bases of F0/F1,
 the exact circuit matrix by both counting methods, and the dense-oracle
-cross-check.
+cross-check.  Exits 1 when the methods or the oracle disagree.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from pathpoly import (
@@ -26,7 +27,7 @@ from pathpoly import (
 DEFAULT_CIRCUIT = Path(__file__).resolve().parent.parent / "circuits" / "demo_n3.qc"
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("circuit", nargs="?", default=DEFAULT_CIRCUIT, type=Path)
     args = parser.parse_args()
@@ -57,9 +58,12 @@ def main() -> None:
     oracle = circuit_unitary(circuit).report_rows()
     print("\nfull matrix (rows a, columns b):")
     print(render_matrix_table(brute, circuit.n_qubits), end="")
-    print(f"\nbrute == groebner: {brute == groeb}")
-    print(f"brute == dense oracle: {brute == tuple(oracle)}")
+    agree_gb = brute == groeb
+    agree_oracle = brute == tuple(oracle)
+    print(f"\nbrute == groebner: {agree_gb}")
+    print(f"brute == dense oracle: {agree_oracle}")
+    return 0 if agree_gb and agree_oracle else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

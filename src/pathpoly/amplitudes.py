@@ -4,9 +4,10 @@ N0 and N1 count the path-variable assignments x that reach output b from
 input a with phase 0 and 1 respectively.  Counting is available two ways,
 each with one kernel: brute force over all 2^h assignments, as 2^h-bit truth
 tables of the bound row and phase polynomials, and Groebner-based root
-counting of the bound systems F0/F1.  Amplitudes live in the subring of
-Z[1/sqrt(2)] of values m * sqrt(2)^(-e); all arithmetic is exact and no
-floating point appears anywhere.
+counting: N0 + N1 from the reduced basis of the bound rows, and N0 from that
+basis extended by the phase, i.e. from F0; F1 is never built.  Amplitudes
+live in the subring of Z[1/sqrt(2)] of values m * sqrt(2)^(-e); all
+arithmetic is exact and no floating point appears anywhere.
 """
 from __future__ import annotations
 
@@ -200,20 +201,27 @@ def _gb_pair(
     bbits: Sequence[int],
     h: int,
 ) -> CountPair:
-    """Root counts of the bound F0 and F1 over the h compact path variables."""
+    """Root counts of the bound F0 and F1 over the h compact path variables.
+
+    N0 + N1 is the root count of the bound rows alone, so their basis is
+    computed once and, unless the rows have no root, extended by the phase
+    to count N0; N1 is the difference.
+    """
     _check_root_count_cap(h)
+    full = (1 << h) - 1
     f = [_toggle_constant(masks, bit) for masks, bit in zip(rows, bbits)]
-    counts = []
-    for last in (phase, _toggle_constant(phase, 1)):
-        basis = _gb_masks([*f, last], h)
-        counts.append(_count_standard([g[0] for g in basis], (1 << h) - 1))
-    return CountPair(*counts)
+    rows_basis = _gb_masks(f, h)
+    total = _count_standard([g[0] for g in rows_basis], full)
+    if total == 0:
+        return CountPair(0, 0)
+    n0 = _count_standard([g[0] for g in _gb_masks([phase], h, rows_basis)], full)
+    return CountPair(n0, total - n0)
 
 
 def count_groebner(
     ps: PolySystem, a: "str | Sequence[int]", b: "str | Sequence[int]"
 ) -> CountPair:
-    """Count roots of the bound systems F0 and F1 via Groebner bases."""
+    """Count roots of the bound rows, then of F0, via Groebner bases."""
     abits = parse_bits(a, ps.n, "a")
     bbits = parse_bits(b, ps.n, "b")
     rows, phase = _bound_x_masks(ps, abits)
@@ -278,8 +286,8 @@ def row_counts(
     """CountPairs for all 2^N outputs b (ascending big-endian), fixed input a.
 
     The brute path builds the truth tables once, as count_bruteforce does,
-    and each b is an AND of matched row tables; the GB path runs F0 and F1
-    for every b.
+    and each b is an AND of matched row tables; the GB path computes the
+    basis of the bound rows for every b and extends it by the phase.
     """
     outputs = range(1 << ps.n)
     if method is Method.GB:

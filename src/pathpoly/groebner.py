@@ -11,11 +11,12 @@ relations.  Processing those pairs restores Buchberger's criterion in the
 quotient ring.
 
 One Buchberger core, _buchberger, holds the pair queue, the registration of
-new generators and the final interreduction.  A polynomial is a frozenset of
-monomial bitmasks, pre-permuted by the term order's key, so monomial
-comparison is integer comparison and the leading monomial is the maximum.
-Addition is symmetric difference, and multiplying by a monomial ORs its mask
-into every term.
+new generators and the final interreduction.  It can start from a reduced
+basis and extend it, forming only the pairs that involve a new generator.  A
+polynomial is a frozenset of monomial bitmasks, pre-permuted by the term
+order's key, so monomial comparison is integer comparison and the leading
+monomial is the maximum.  Addition is symmetric difference, and multiplying
+by a monomial ORs its mask into every term.
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -80,14 +81,19 @@ def _nf(
     return frozenset(out)
 
 
-def _buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    """Reduced Groebner basis, descending by leading monomial.
+def _buchberger(
+    inputs: Iterable[frozenset[int]], basis: Sequence[frozenset[int]] = ()
+) -> list[frozenset[int]]:
+    """Reduced Groebner basis of basis + inputs, descending by leading monomial.
 
-    Returns [] for the zero ideal and [frozenset({0})] for an inconsistent
-    system.
+    basis must be a reduced Groebner basis; it seeds the generators, and
+    only pairs involving a new generator are formed, since pairs among the
+    seed (field pairs included) already reduce to 0 modulo the seed and so
+    modulo any superset.  Returns [] for the zero ideal and
+    [frozenset({0})] for an inconsistent system.
     """
-    gens: list[frozenset[int]] = []
-    lms: list[int] = []
+    gens: list[frozenset[int]] = list(basis)
+    lms: list[int] = [max(g) for g in gens]
     pairs: list[tuple[int, int, int, int]] = []
 
     def register(p: frozenset[int]) -> None:
@@ -137,13 +143,20 @@ def _buchberger(inputs: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # mask-level front door shared by this module and the amplitude solver
 
-def _gb_masks(mask_polys: Iterable[Iterable[int]], n_vars: int) -> list[tuple[int, ...]]:
+def _gb_masks(
+    mask_polys: Iterable[Iterable[int]],
+    n_vars: int,
+    basis: Sequence[tuple[int, ...]] = (),
+) -> list[tuple[int, ...]]:
     """Reduced basis on raw mask polynomials (already in key space), descending.
 
-    The kernel does not use n_vars; it stays in the signature because the
-    perfbench tracer reads it from this call.
+    basis, a reduced basis as this function returns it, is extended by
+    mask_polys instead of being recomputed.  The kernel does not use n_vars;
+    it stays in the signature because the perfbench tracer reads it, with
+    the number of mask_polys, from this call.
     """
-    return [_to_masks(p) for p in _buchberger(_from_masks(p) for p in mask_polys)]
+    seed = [frozenset(g) for g in basis]
+    return [_to_masks(p) for p in _buchberger((_from_masks(p) for p in mask_polys), seed)]
 
 
 def _nf_masks(p_masks: Iterable[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from pathpoly import (
     element,
     full_matrix,
     parse_circuit,
+    random_circuit,
     render_matrix_json,
     render_matrix_table,
     row_counts,
@@ -155,6 +157,14 @@ def test_count_groebner_inconsistent_system():
     assert count_groebner(ps, "00", "01") == CountPair(0, 0)
 
 
+def test_count_groebner_without_hadamards():
+    # h = 0: the bound rows are constants, so each b has one path or none
+    ps = compile_circuit(parse_circuit("qubits 2\ncolumns 1\nIv\nAv\n"))
+    assert ps.h == 0
+    assert count_groebner(ps, "10", "11") == CountPair(1, 0)
+    assert count_groebner(ps, "10", "10") == CountPair(0, 0)
+
+
 def test_count_paths_dispatch(demo_system):
     assert count_paths(demo_system, "000", "000", Method.BRUTE) == CountPair(2, 0)
     assert count_paths(demo_system, "000", "000", Method.GB) == CountPair(2, 0)
@@ -242,6 +252,21 @@ def test_count_bruteforce_matches_point_evaluation(c, data):
     )
     expected = CountPair(brute_root_count(f0, paths), brute_root_count(f1, paths))
     assert count_bruteforce(ps, a, b) == expected
+
+
+def test_gb_row_counts_match_brute_at_larger_h():
+    # h = 9..12 with some outputs that no path reaches, so the GB path meets
+    # both a row basis that it extends by the phase and one without roots
+    rng = random.Random(11)
+    kept = []
+    while len(kept) < 20:
+        c = random_circuit(rng, 4, 12, 12)
+        if c.h >= 9:
+            kept.append(c)
+    for c in kept:
+        ps = compile_circuit(c)
+        a = bit_label(rng.randrange(1 << ps.n), ps.n)
+        assert row_counts(ps, a, Method.GB) == row_counts(ps, a, Method.BRUTE)
 
 
 # rendering

@@ -292,3 +292,30 @@ def test_kernel_selection_is_transparent_at_scale():
     sub = VarUniverse(v for v in u.variables if v in set(support))
     projected = [Poly.parse(str(q), sub) for q in polys]
     assert count_roots(G, u.variables) == brute_root_count(projected, sub) << (16 - sub.size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 16), st.data())
+def test_gb_masks_extends_a_seed_basis(n_vars, data):
+    # a reduced basis is unique for a fixed order, so extending the basis of
+    # old by new must give exactly the basis of old and new together.  Terms
+    # lie within a support of at most 5 variables, as in the raw-system test
+    # above.  The constant is drawn apart from them: systems drawn with it as
+    # a plain mask mostly collapse to the unit ideal.  The zero ideal and the
+    # unit ideal are checked as seeds every time.
+    positions = data.draw(
+        st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=5, unique=True)
+    )
+    term = st.sets(st.sampled_from(positions), min_size=1).map(
+        lambda vs: sum(1 << v for v in vs)
+    )
+    poly = st.builds(
+        lambda terms, constant: [*terms, 0] if constant else terms,
+        st.lists(term, min_size=1, max_size=4),
+        st.booleans(),
+    )
+    system = st.lists(poly, min_size=1, max_size=3)
+    old, new = data.draw(system), data.draw(system)
+    for start in ([], [(0,)], old):
+        seed = _gb_masks(start, n_vars)
+        assert _gb_masks(new, n_vars, seed) == _gb_masks([*start, *new], n_vars)
