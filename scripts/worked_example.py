@@ -13,7 +13,6 @@ from pathlib import Path
 
 from pathpoly import (
     Method,
-    TermOrder,
     assemble_systems,
     buchberger,
     circuit_unitary,
@@ -42,10 +41,9 @@ def main() -> int:
     print(f"  phi = {ps.phase}")
 
     f0, f1 = assemble_systems(ps)
-    order = TermOrder.block_elim(ps.universe)
     for label, system in (("G0", f0), ("G1", f1)):
-        print(f"\nreduced Groebner basis {label} (block elimination order):")
-        for g in buchberger(system, order).generators:
+        print(f"\nreduced Groebner basis {label} (lex, path variables above a and b):")
+        for g in buchberger(system).generators:
             print(f"  {g}")
 
     print("\nsample path counts (a=000):")

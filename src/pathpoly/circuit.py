@@ -13,6 +13,7 @@ Gate tokens (case-sensitive): I, I+, Iv, I^, Mv, M^, Av, A^, H.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -269,7 +270,12 @@ def place_hadamard(circuit: Circuit, column: int, row: int) -> Circuit:
 
 
 def _parse_header(line_no: int, tokens: list[str], keyword: str) -> int:
-    if len(tokens) != 2 or tokens[0] != keyword or not tokens[1].isdigit() or int(tokens[1]) < 1:
+    if (
+        len(tokens) != 2
+        or tokens[0] != keyword
+        or not re.fullmatch(r"[0-9]+", tokens[1])
+        or int(tokens[1]) < 1
+    ):
         raise CircuitSyntaxError(f"expected '{keyword} <positive integer>'", line=line_no)
     return int(tokens[1])
 

@@ -21,7 +21,6 @@ from .amplitudes import (
 from .circuit import Circuit, CircuitError, parse_circuit
 from .compiler import PolySystem, assemble_systems, compile_circuit
 from .errors import CapExceeded
-from .gf2poly import TermOrder
 from .groebner import buchberger
 
 EXIT_OK = 0
@@ -66,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gb = add("gb", "print reduced Groebner bases of F0 and F1")
     gb.add_argument("--bind", default=None, help="bindings like a=010,b=110 (either optional)")
-    gb.add_argument("--order", choices=["lex", "elim"], default="lex")
 
     export = add("export", "print the polynomial system for computer algebra systems")
     export.add_argument("--format", choices=["plain", "maple", "mathematica"], required=True)
@@ -163,11 +161,9 @@ def _run(args: argparse.Namespace) -> None:
         ps = compile_circuit(circuit)
         bind = _parse_bind(args.bind)
         f0, f1 = assemble_systems(ps, a=bind.get("a"), b=bind.get("b"))
-        make_order = TermOrder.lex if args.order == "lex" else TermOrder.block_elim
-        order = make_order(ps.universe)
         for label, system in (("G0", f0), ("G1", f1)):
             print(f"{label}:")
-            for g in buchberger(system, order).generators:
+            for g in buchberger(system).generators:
                 print(g)
     elif args.verb == "export":
         print(_EXPORTERS[args.format](compile_circuit(circuit)), end="")

@@ -6,15 +6,16 @@ distinct monomials.  A universe fixes the precedence order of its variables;
 each variable is assigned one bit position, with the highest-precedence
 variable on the most significant bit.  A monomial is then a bitmask, and
 comparing two masks as plain integers is exactly the lexicographic order on
-monomials.  Polynomials store their masks sorted descending, which makes the
-canonical form unique and the leading monomial the first entry.
+monomials.  That lex order is the only term order: another precedence is
+another universe.  Polynomials store their masks sorted descending, which
+makes the canonical form unique and the leading monomial the first entry.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class VarKind(Enum):
@@ -182,100 +183,6 @@ class Monomial:
         return f"Monomial({self})"
 
 
-class OrderKind(Enum):
-    LEX = "lex"
-    BLOCK_ELIM = "elim"
-
-
-class TermOrder:
-    """A monomial order given by a comparison sequence of the variables.
-
-    key(mask) permutes the bits of a monomial mask so that integer comparison
-    of keys realises the order.  For the native sequence (the universe's own
-    precedence) the key is the identity, which the kernels exploit.
-
-    Lex compares variables in the given sequence.  The block elimination
-    order puts the path-variable block ahead of all input/output variables
-    and is lex inside each block, so eliminating the path block leaves the
-    parameter subring.
-    """
-
-    __slots__ = ("kind", "universe", "sequence", "_fwd", "_rev")
-
-    def __init__(self, kind: OrderKind, universe: VarUniverse, sequence: tuple[Variable, ...]):
-        if set(sequence) != set(universe.variables) or len(sequence) != universe.size:
-            raise ValueError("order sequence must be a permutation of the universe")
-        self.kind = kind
-        self.universe = universe
-        self.sequence = sequence
-        size = universe.size
-        if sequence == universe.variables:
-            self._fwd = None
-            self._rev = None
-        else:
-            fwd = [0] * size
-            rev = [0] * size
-            for i, v in enumerate(sequence):
-                src = universe.bit(v)
-                dst = size - 1 - i
-                fwd[src] = dst
-                rev[dst] = src
-            self._fwd = tuple(fwd)
-            self._rev = tuple(rev)
-
-    @classmethod
-    def lex(cls, universe: VarUniverse, sequence: Sequence[Variable] | None = None) -> "TermOrder":
-        seq = universe.variables if sequence is None else tuple(sequence)
-        return cls(OrderKind.LEX, universe, seq)
-
-    @classmethod
-    def block_elim(
-        cls, universe: VarUniverse, sequence: Sequence[Variable] | None = None
-    ) -> "TermOrder":
-        seq = universe.variables if sequence is None else tuple(sequence)
-        paths = tuple(v for v in seq if v.kind is VarKind.PATH)
-        rest = tuple(v for v in seq if v.kind is not VarKind.PATH)
-        return cls(OrderKind.BLOCK_ELIM, universe, paths + rest)
-
-    @property
-    def native(self) -> bool:
-        """True when key() is the identity on masks."""
-        return self._fwd is None
-
-    def _permute(self, mask: int, table: tuple[int, ...]) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out |= 1 << table[low.bit_length() - 1]
-        return out
-
-    def key(self, mask: int) -> int:
-        """Monotone bijection from masks to integers realising the order."""
-        if self._fwd is None:
-            return mask
-        return self._permute(mask, self._fwd)
-
-    def unkey(self, key: int) -> int:
-        if self._rev is None:
-            return key
-        return self._permute(key, self._rev)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TermOrder)
-            and self.kind is other.kind
-            and self.universe == other.universe
-            and self.sequence == other.sequence
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.universe, self.sequence))
-
-    def __repr__(self) -> str:
-        return f"TermOrder({self.kind.value}, {', '.join(map(str, self.sequence))})"
-
-
 PolyLike = Union["Poly", Monomial, int]
 
 _TERM_SPLIT = re.compile(r"\+|⊕")
@@ -352,15 +259,11 @@ class Poly:
             support |= m
         return self.universe.variables_of(support)
 
-    def leading_monomial(self, order: TermOrder | None = None) -> Monomial:
-        """Largest monomial under the order (native lex when omitted)."""
+    def leading_monomial(self) -> Monomial:
+        """Largest monomial in lex by the universe's precedence."""
         if not self._masks:
             raise ValueError("the zero polynomial has no leading monomial")
-        if order is None or order.native:
-            return Monomial(self.universe, self._masks[0])
-        if order.universe != self.universe:
-            raise ValueError("order universe does not match polynomial universe")
-        return Monomial(self.universe, max(self._masks, key=order.key))
+        return Monomial(self.universe, self._masks[0])
 
     def _coerce(self, other: PolyLike) -> "Poly | None":
         if isinstance(other, Poly):

@@ -13,10 +13,11 @@ quotient ring.
 One Buchberger core, _buchberger, holds the pair queue, the registration of
 new generators and the final interreduction.  It can start from a reduced
 basis and extend it, forming only the pairs that involve a new generator.  A
-polynomial is a frozenset of monomial bitmasks, pre-permuted by the term
-order's key, so monomial comparison is integer comparison and the leading
-monomial is the maximum.  Addition is symmetric difference, and multiplying
-by a monomial ORs its mask into every term.
+polynomial is a frozenset of monomial bitmasks as the universe lays them out.
+The term order is lex by the universe's precedence, so monomial comparison
+is integer comparison and the leading monomial is the maximum.  Addition is
+symmetric difference, and multiplying by a monomial ORs its mask into every
+term.
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded
-from .gf2poly import Monomial, Poly, TermOrder, Variable, VarUniverse
+from .gf2poly import Monomial, Poly, Variable, VarUniverse
 
 ROOT_COUNT_VARIABLE_CAP = 20
 
@@ -148,7 +149,7 @@ def _gb_masks(
     n_vars: int,
     basis: Sequence[tuple[int, ...]] = (),
 ) -> list[tuple[int, ...]]:
-    """Reduced basis on raw mask polynomials (already in key space), descending.
+    """Reduced basis on raw mask polynomials, descending.
 
     basis, a reduced basis as this function returns it, is extended by
     mask_polys instead of being recomputed.  The kernel does not use n_vars;
@@ -160,7 +161,7 @@ def _gb_masks(
 
 
 def _nf_masks(p_masks: Iterable[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Normal form on raw mask polynomials (already in key space), descending."""
+    """Normal form on raw mask polynomials, descending."""
     lms = [b[0] for b in basis]
     polys = [_from_masks(b) for b in basis]
     return _to_masks(_nf(_from_masks(p_masks), lms, polys))
@@ -215,14 +216,13 @@ def _minimal_antichain(lms: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis: generators sorted by leading monomial descending."""
+    """A reduced Groebner basis: generators sorted by leading monomial descending.
+
+    The term order is lex by the universe's precedence.
+    """
 
     generators: tuple[Poly, ...]
-    order: TermOrder
-
-    @property
-    def universe(self) -> VarUniverse:
-        return self.order.universe
+    universe: VarUniverse
 
     def __iter__(self):
         return iter(self.generators)
@@ -231,82 +231,49 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _resolve_basis(
-    G: "GroebnerBasis | Iterable[Poly]", order: TermOrder | None
-) -> tuple[tuple[Poly, ...], TermOrder | None]:
-    if isinstance(G, GroebnerBasis):
-        return G.generators, order if order is not None else G.order
-    return tuple(G), order
-
-
-def _require_universe(polys: Sequence[Poly], order: TermOrder | None) -> VarUniverse:
-    if order is not None:
-        universe = order.universe
-    elif polys:
-        universe = polys[0].universe
-    else:
-        raise ValueError("cannot infer a variable universe; pass a term order")
+def _require_universe(polys: Sequence[Poly]) -> VarUniverse:
+    if not polys:
+        raise ValueError("cannot infer a variable universe from no polynomials")
+    universe = polys[0].universe
     for p in polys:
         if p.universe != universe:
             raise ValueError("polynomials live in different universes")
     return universe
 
 
-def normal_form(
-    p: Poly, G: "GroebnerBasis | Iterable[Poly]", order: TermOrder | None = None
-) -> Poly:
+def normal_form(p: Poly, G: "GroebnerBasis | Iterable[Poly]") -> Poly:
     """Fully reduce p by G: no monomial of the result is divisible by any LM(g)."""
-    gens, order = _resolve_basis(G, order)
-    universe = _require_universe((p, *gens), order)
-    if order is None:
-        order = TermOrder.lex(universe)
-    basis = [
-        tuple(sorted((order.key(m) for m in g.monomial_masks), reverse=True))
-        for g in gens
-        if not g.is_zero
-    ]
+    gens = tuple(G)
+    universe = _require_universe((p, *gens))
+    basis = [g.monomial_masks for g in gens if not g.is_zero]
     if not basis:
         return p
-    p_keys = (order.key(m) for m in p.monomial_masks)
-    out = _nf_masks(p_keys, basis)
-    return Poly(universe, (order.unkey(k) for k in out))
+    return Poly(universe, _nf_masks(p.monomial_masks, basis))
 
 
-def s_polynomial(f: Poly, g: Poly, order: TermOrder | None = None) -> Poly:
+def s_polynomial(f: Poly, g: Poly) -> Poly:
     """S-polynomial lcm/LM(f)*f + lcm/LM(g)*g in the Boolean ring."""
-    universe = _require_universe((f, g), order)
-    if order is None:
-        order = TermOrder.lex(universe)
+    universe = _require_universe((f, g))
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    fk = [order.key(m) for m in f.monomial_masks]
-    gk = [order.key(m) for m in g.monomial_masks]
-    lmf, lmg = max(fk), max(gk)
-    lcm = lmf | lmg
-    s = _mul_mono(fk, lcm & ~lmf) ^ _mul_mono(gk, lcm & ~lmg)
-    return Poly(universe, (order.unkey(k) for k in s))
+    fm, gm = f.monomial_masks, g.monomial_masks
+    lcm = fm[0] | gm[0]
+    return Poly(universe, _mul_mono(fm, lcm & ~fm[0]) ^ _mul_mono(gm, lcm & ~gm[0]))
 
 
-def buchberger(F: Iterable[Poly], order: TermOrder | None = None) -> GroebnerBasis:
+def buchberger(F: Iterable[Poly]) -> GroebnerBasis:
     """Reduced Groebner basis of <F> + field equations inside the Boolean ring.
 
-    Deterministic for a fixed order; an inconsistent system yields the basis
-    (1,).  With no order given, native lex over the inputs' universe is used.
+    Deterministic for a fixed universe; an inconsistent system yields the
+    basis (1,).  F must hold at least one polynomial, which fixes the
+    universe: pass [Poly.zero(U)] for the zero ideal over U.
     """
     polys = tuple(F)
-    universe = _require_universe(polys, order)
-    if order is None:
-        order = TermOrder.lex(universe)
-    elif order.universe != universe:
-        raise ValueError("order universe does not match the input polynomials")
-    key_polys = [
-        tuple(order.key(m) for m in p.monomial_masks) for p in polys if not p.is_zero
-    ]
-    basis_masks = _gb_masks(key_polys, universe.size)
-    generators = tuple(
-        Poly(universe, (order.unkey(k) for k in masks)) for masks in basis_masks
+    universe = _require_universe(polys)
+    basis_masks = _gb_masks([p.monomial_masks for p in polys if not p.is_zero], universe.size)
+    return GroebnerBasis(
+        generators=tuple(Poly(universe, masks) for masks in basis_masks), universe=universe
     )
-    return GroebnerBasis(generators=generators, order=order)
 
 
 def is_groebner_basis(G: GroebnerBasis) -> bool:
@@ -315,9 +282,9 @@ def is_groebner_basis(G: GroebnerBasis) -> bool:
     gens = [g for g in G.generators if not g.is_zero]
     for i, f in enumerate(gens):
         for g in gens[i + 1 :]:
-            if not normal_form(s_polynomial(f, g, G.order), G).is_zero:
+            if not normal_form(s_polynomial(f, g), G).is_zero:
                 return False
-        lm = f.leading_monomial(G.order)
+        lm = f.leading_monomial()
         for v in lm.variables:
             boolean_product = f * Monomial.of(G.universe, [v])
             if not normal_form(boolean_product, G).is_zero:
@@ -327,8 +294,7 @@ def is_groebner_basis(G: GroebnerBasis) -> bool:
 
 def ideal_equal(G1: GroebnerBasis, G2: "GroebnerBasis | Iterable[Poly]") -> bool:
     """Mutual containment: each side's generators normal-form to 0 against the other."""
-    gens2, _ = _resolve_basis(G2, None)
-    other = buchberger(gens2, G1.order) if not isinstance(G2, GroebnerBasis) else G2
+    other = G2 if isinstance(G2, GroebnerBasis) else buchberger((Poly.zero(G1.universe), *G2))
     return all(normal_form(g, other).is_zero for g in G1.generators) and all(
         normal_form(g, G1).is_zero for g in other.generators
     )
@@ -348,7 +314,6 @@ def count_roots(G: GroebnerBasis, variables: Iterable[Variable]) -> int:
     for g in G.generators:
         if g.is_zero:
             continue
-        lm = g.leading_monomial(G.order)
         support = 0
         for m in g.monomial_masks:
             support |= m
@@ -357,5 +322,5 @@ def count_roots(G: GroebnerBasis, variables: Iterable[Variable]) -> int:
             raise ValueError(
                 f"generator {g} mentions {stray}, which is not a counting variable"
             )
-        lms.append(lm.mask)
+        lms.append(g.monomial_masks[0])
     return _count_standard(lms, var_mask)

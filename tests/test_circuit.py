@@ -23,6 +23,7 @@ from pathpoly import (
     random_circuit,
     validate_column,
 )
+from pathpoly import cli
 
 from conftest import DEMO_TEXT, circuits
 
@@ -278,6 +279,27 @@ def test_parse_bad_token_names_it():
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(CircuitSyntaxError):
         parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qubits \u00b2\ncolumns 1\nH\n", 1),
+        ("qubits 1\ncolumns \u00b3\nH\n", 2),
+        ("qubits \u0661\ncolumns 1\nH\n", 1),
+    ],
+    ids=["qubits-superscript-two", "columns-superscript-three", "qubits-arabic-indic-one"],
+)
+def test_parse_header_accepts_only_ascii_digits(text, line, tmp_path, capsys):
+    # str.isdigit() accepts superscripts and other scripts' digits; int() then
+    # fails on some of them and silently converts the rest
+    with pytest.raises(CircuitSyntaxError) as e:
+        parse_circuit(text)
+    assert e.value.line == line
+    path = tmp_path / "header.qc"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_parse_propagates_validation_errors():

@@ -125,7 +125,7 @@ def test_gb_bound(capsys, demo_path):
 
 
 def test_gb_symbolic_elim_contains_known_generators(capsys, demo_path):
-    code, out, _ = run(capsys, "gb", demo_path, "--order", "elim")
+    code, out, _ = run(capsys, "gb", demo_path)
     assert code == 0
     lines = out.splitlines()
     assert "x1*a1 + x1*b1 + a2*b2 + a3*b3" in lines

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from pathpoly import (
     Monomial,
-    OrderKind,
     Poly,
-    TermOrder,
     Variable,
     VarKind,
     VarUniverse,
@@ -149,17 +147,16 @@ def test_evaluate_requires_all_variables():
         p("x1*x2", U4).evaluate({path_var(1): 1})
 
 
-# leading monomials and term orders
+# leading monomials: lex by universe precedence
 
 def test_leading_monomial_lex():
     assert str(p("x2*x4 + x3", U4).leading_monomial()) == "x2*x4"
     assert str(p("x1 + 1", U4).leading_monomial()) == "x1"
 
 
-def test_leading_monomial_block_elim():
-    g1 = p("x1*a1 + x1*b1 + a2*b2 + a3*b3")
-    order = TermOrder.block_elim(UDEMO)
-    assert str(g1.leading_monomial(order)) == "x1*a1"
+def test_leading_monomial_ranks_paths_above_parameters():
+    # UDEMO is for_circuit(4, 3): x1..x4 rank above a1..a3 and b1..b3
+    assert str(p("x1*a1 + x1*b1 + a2*b2 + a3*b3").leading_monomial()) == "x1*a1"
 
 
 def test_leading_monomial_of_zero_fails():
@@ -167,34 +164,14 @@ def test_leading_monomial_of_zero_fails():
         Poly.zero(U4).leading_monomial()
 
 
-def test_block_elim_differs_from_lex_when_paths_rank_low():
-    u = VarUniverse((input_var(1), path_var(1)))
-    q = Poly.parse("a1 + x1", u)
-    assert str(q.leading_monomial(TermOrder.lex(u))) == "a1"
-    assert str(q.leading_monomial(TermOrder.block_elim(u))) == "x1"
-
-
-def test_custom_sequence_reorders():
-    seq = (path_var(4), path_var(3), path_var(2), path_var(1))
-    order = TermOrder.lex(U4, seq)
-    assert str(p("x1 + x4", U4).leading_monomial(order)) == "x4"
-
-
-def test_order_key_bijection():
-    orders = [
-        TermOrder.lex(UDEMO),
-        TermOrder.block_elim(UDEMO),
-        TermOrder.lex(UDEMO, tuple(reversed(UDEMO.variables))),
-    ]
-    for order in orders:
-        for mask in range(1 << min(UDEMO.size, 8)):
-            assert order.unkey(order.key(mask)) == mask
-
-
-def test_order_equality():
-    assert TermOrder.lex(UDEMO) == TermOrder.lex(UDEMO)
-    assert TermOrder.lex(UDEMO) != TermOrder.block_elim(UDEMO)
-    assert TermOrder.lex(UDEMO).kind is OrderKind.LEX
+def test_universe_precedence_is_the_order():
+    # another lex order is another universe: the same text, re-parsed
+    paths_low = VarUniverse((input_var(1), path_var(1)))
+    paths_high = VarUniverse((path_var(1), input_var(1)))
+    assert str(p("a1 + x1", paths_low).leading_monomial()) == "a1"
+    assert str(p("a1 + x1", paths_high).leading_monomial()) == "x1"
+    assert str(p("x1 + x4", U4).leading_monomial()) == "x1"
+    assert str(p("x1 + x4", VarUniverse(reversed(U4.variables))).leading_monomial()) == "x4"
 
 
 # ring axioms on random polynomials

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pathpoly import (
     CapExceeded,
     Poly,
-    TermOrder,
     VarUniverse,
     assemble_systems,
     buchberger,
@@ -55,9 +54,8 @@ def test_normal_form_of_member_is_zero():
 
 def test_normal_form_of_row_constraint_against_symbolic_basis(demo_system):
     f0, _ = assemble_systems(demo_system)
-    order = TermOrder.block_elim(UDEMO)
-    G0 = buchberger(f0, order)
-    assert normal_form(Poly.parse("x2*x4 + x3 + b1", UDEMO), G0, order).is_zero
+    G0 = buchberger(f0)
+    assert normal_form(Poly.parse("x2*x4 + x3 + b1", UDEMO), G0).is_zero
 
 
 def test_normal_form_is_idempotent_and_stable():
@@ -86,24 +84,26 @@ def test_buchberger_detects_hidden_inconsistency():
 
 
 def test_buchberger_empty_and_zero_inputs():
-    order = TermOrder.lex(U2)
-    assert buchberger([], order).generators == ()
-    assert buchberger([Poly.zero(U2)], order).generators == ()
-    assert count_roots(buchberger([], order), U2.variables) == 4
+    # no polynomial, no universe: the zero ideal over U is [Poly.zero(U)]
+    with pytest.raises(ValueError):
+        buchberger([])
+    G = buchberger([Poly.zero(U2)])
+    assert G.generators == ()
+    assert G.universe == U2
+    assert count_roots(G, U2.variables) == 4
 
 
 def test_buchberger_symbolic_basis_contains_known_generators(demo_system):
     f0, f1 = assemble_systems(demo_system)
-    order = TermOrder.block_elim(UDEMO)
-    G0 = buchberger(f0, order)
+    G0 = buchberger(f0)
     for text in KNOWN_G0_GENERATORS:
-        assert normal_form(Poly.parse(text, UDEMO), G0, order).is_zero
-    G1 = buchberger(f1, order)
+        assert normal_form(Poly.parse(text, UDEMO), G0).is_zero
+    G1 = buchberger(f1)
     known_g1 = [Poly.parse(KNOWN_G0_GENERATORS[0], UDEMO) + 1] + [
         Poly.parse(t, UDEMO) for t in KNOWN_G0_GENERATORS[1:]
     ]
     for g in known_g1:
-        assert normal_form(g, G1, order).is_zero
+        assert normal_form(g, G1).is_zero
     assert is_groebner_basis(G0)
     assert is_groebner_basis(G1)
     assert not ideal_equal(G0, G1)
@@ -114,14 +114,9 @@ def test_buchberger_requires_one_universe():
         buchberger([p("x1", U2), p("x1", U4)])
 
 
-def test_buchberger_order_universe_must_match():
-    with pytest.raises(ValueError):
-        buchberger([p("x1", U2)], TermOrder.lex(U4))
-
-
 def test_generators_sorted_descending_by_leading_monomial():
     G = buchberger([p("x3 + 1"), p("x1*x2 + x4")])
-    keys = [G.order.key(G.order.universe.mask_of(g.leading_monomial(G.order).variables)) for g in G]
+    keys = [g.leading_monomial().mask for g in G]
     assert keys == sorted(keys, reverse=True)
 
 
@@ -133,7 +128,7 @@ def test_count_roots_examples(demo_system):
     assert [str(g) for g in G] == ["x2", "x3", "x4"]
     assert count_roots(G, [path_var(i) for i in range(1, 5)]) == 2
     assert count_roots(buchberger([Poly.one(U4)]), U4.variables) == 0
-    assert count_roots(buchberger([], TermOrder.lex(U2)), U2.variables) == 4
+    assert count_roots(buchberger([Poly.zero(U2)]), U2.variables) == 4
 
 
 def test_count_roots_rejects_stray_variable():
@@ -145,7 +140,7 @@ def test_count_roots_rejects_stray_variable():
 
 def test_count_roots_cap():
     u = VarUniverse.of_paths(21)
-    G = buchberger([], TermOrder.lex(u))
+    G = buchberger([Poly.zero(u)])
     with pytest.raises(CapExceeded):
         count_roots(G, u.variables)
 
@@ -172,21 +167,20 @@ def test_buchberger_criterion_holds(up):
 def test_buchberger_idempotent(up):
     _, polys = up
     G = buchberger(polys)
-    again = buchberger(G.generators, G.order)
+    again = buchberger((Poly.zero(G.universe), *G.generators))
     assert again == G
 
 
 @settings(max_examples=40, deadline=None)
 @given(universe_and_polys(max_vars=6, count=3, max_monomials=4))
 def test_root_count_is_order_independent(up):
+    # lex by the reversed precedence is lex over the reversed universe
     universe, polys = up
-    orders = [
-        TermOrder.lex(universe),
-        TermOrder.lex(universe, tuple(reversed(universe.variables))),
-        TermOrder.block_elim(universe),
-    ]
-    counts = {count_roots(buchberger(polys, o), universe.variables) for o in orders}
-    assert len(counts) == 1
+    reversed_universe = VarUniverse(reversed(universe.variables))
+    reparsed = [Poly.parse(str(q), reversed_universe) for q in polys]
+    assert count_roots(buchberger(polys), universe.variables) == count_roots(
+        buchberger(reparsed), reversed_universe.variables
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,8 +202,7 @@ def test_normal_form_constant_on_ideal_cosets(data):
 def test_basis_is_reduced(up):
     _, polys = up
     G = buchberger(polys)
-    order = G.order
-    lms = [order.universe.mask_of(g.leading_monomial(order).variables) for g in G]
+    lms = [g.leading_monomial().mask for g in G]
     for i, g in enumerate(G):
         for m in g.monomial_masks:
             for j, lm in enumerate(lms):
@@ -220,20 +213,40 @@ def test_basis_is_reduced(up):
 @settings(max_examples=40, deadline=None)
 @given(universe_and_polys(max_vars=6, count=2, max_monomials=4))
 def test_s_polynomial_cancels_leading_terms(up):
-    universe, (f, g) = up
+    _, (f, g) = up
     if f.is_zero or g.is_zero:
         return
-    order = TermOrder.lex(universe)
-    s = s_polynomial(f, g, order)
-    lcm = universe.mask_of(f.leading_monomial(order).variables) | universe.mask_of(
-        g.leading_monomial(order).variables
-    )
+    s = s_polynomial(f, g)
+    lcm = f.leading_monomial().mask | g.leading_monomial().mask
     if not s.is_zero:
-        lm_s = universe.mask_of(s.leading_monomial(order).variables)
-        assert order.key(lm_s) < order.key(lcm)
+        assert s.leading_monomial().mask < lcm
 
 
 # kernel cross-checks
+
+def _raw_systems(data, n_vars: int):
+    """Draw a support of 1 to 5 of n_vars variables; return its bit positions
+    and a strategy for raw systems of 1 to 3 mask polynomials over it.
+
+    A term is a nonempty product of support variables, and the constant is a
+    separate flag: drawn as a plain mask it mostly collapses the system to
+    the unit ideal.  Terms may repeat, so they cancel and a polynomial may be
+    zero, as when a bound row equals its b bit.  The small support keeps
+    enumeration at 32 points or fewer even at 16 variables.
+    """
+    positions = data.draw(
+        st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=5, unique=True)
+    )
+    term = st.sets(st.sampled_from(positions), min_size=1).map(
+        lambda vs: sum(1 << v for v in vs)
+    )
+    poly = st.builds(
+        lambda terms, constant: [*terms, 0] if constant else terms,
+        st.lists(term, min_size=1, max_size=4),
+        st.booleans(),
+    )
+    return positions, st.lists(poly, min_size=1, max_size=3)
+
 
 def _submasks(mask: int):
     sub = mask
@@ -247,13 +260,9 @@ def _submasks(mask: int):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 16), st.data())
 def test_gb_masks_counts_roots_of_raw_systems(n_vars, data):
-    # raw systems: repeated masks cancel and polynomials may be zero, as when
-    # a bound row equals its b bit.  All masks lie within a support of at most
-    # 5 variables, so enumeration visits at most 32 points even at 16 variables.
-    positions = data.draw(st.sets(st.integers(0, n_vars - 1), max_size=5))
+    positions, system = _raw_systems(data, n_vars)
     support = sum(1 << i for i in positions)
-    mask = st.integers(0, (1 << n_vars) - 1).map(lambda m: m & support)
-    systems = data.draw(st.lists(st.lists(mask, max_size=5), min_size=1, max_size=4))
+    systems = data.draw(system)
     basis = _gb_masks(systems, n_vars)
     for g in basis:
         assert list(g) == sorted(set(g), reverse=True)
@@ -298,23 +307,9 @@ def test_kernel_selection_is_transparent_at_scale():
 @given(st.integers(2, 16), st.data())
 def test_gb_masks_extends_a_seed_basis(n_vars, data):
     # a reduced basis is unique for a fixed order, so extending the basis of
-    # old by new must give exactly the basis of old and new together.  Terms
-    # lie within a support of at most 5 variables, as in the raw-system test
-    # above.  The constant is drawn apart from them: systems drawn with it as
-    # a plain mask mostly collapse to the unit ideal.  The zero ideal and the
-    # unit ideal are checked as seeds every time.
-    positions = data.draw(
-        st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=5, unique=True)
-    )
-    term = st.sets(st.sampled_from(positions), min_size=1).map(
-        lambda vs: sum(1 << v for v in vs)
-    )
-    poly = st.builds(
-        lambda terms, constant: [*terms, 0] if constant else terms,
-        st.lists(term, min_size=1, max_size=4),
-        st.booleans(),
-    )
-    system = st.lists(poly, min_size=1, max_size=3)
+    # old by new must give exactly the basis of old and new together.  The
+    # zero ideal and the unit ideal are checked as seeds every time.
+    _, system = _raw_systems(data, n_vars)
     old, new = data.draw(system), data.draw(system)
     for start in ([], [(0,)], old):
         seed = _gb_masks(start, n_vars)
