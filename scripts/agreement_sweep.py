@@ -3,8 +3,11 @@
 
 Samples random valid circuits, computes the full matrix by brute-force
 counting, by Groebner counting and by the dense oracle, and reports exact
-agreement plus timing and structural-invariant statistics.  Exits 1 when
-any matrix mismatch, conservation failure or unitarity failure occurs.
+agreement plus timing and structural-invariant statistics.  Amplitudes
+are only N0 - N1, so the N0/N1 counts of the all-zeros input row are also
+compared between brute force and Groebner counting.  Exits 1 when any
+matrix mismatch, count mismatch, conservation failure or unitarity failure
+occurs.
 """
 from __future__ import annotations
 
@@ -59,17 +62,25 @@ def main() -> int:
     )
     print(f"matrix mismatches: {mismatches} / {len(circuits)}")
 
-    conserved = unitary = 0
+    conserved = counts_agree = unitary = 0
     for circuit, u in zip(circuits, oracle):
         ps = compile_circuit(circuit)
-        pairs = row_counts(ps, "0" * circuit.n_qubits)
+        a = "0" * circuit.n_qubits
+        pairs = row_counts(ps, a)
         conserved += sum(p.n0 + p.n1 for p in pairs) == 1 << circuit.h
+        counts_agree += row_counts(ps, a, Method.GB) == pairs
         unitary += (u.transpose() @ u) == ExactMatrix.identity(u.dim)
     print(f"path conservation holds: {conserved} / {len(circuits)}")
+    print(f"GB counts = brute counts: {counts_agree} / {len(circuits)}")
     print(f"exact unitarity holds:   {unitary} / {len(circuits)}")
     for name, seconds in timings.items():
         print(f"{name:9s} {seconds:7.2f}s")
-    failed = mismatches or conserved < len(circuits) or unitary < len(circuits)
+    failed = (
+        mismatches
+        or conserved < len(circuits)
+        or counts_agree < len(circuits)
+        or unitary < len(circuits)
+    )
     return 1 if failed else 0
 
 

@@ -4,10 +4,13 @@ N0 and N1 count the path-variable assignments x that reach output b from
 input a with phase 0 and 1 respectively.  Counting is available two ways,
 each with one kernel: brute force over all 2^h assignments, as 2^h-bit truth
 tables of the bound row and phase polynomials, and Groebner-based root
-counting: N0 + N1 from the reduced basis of the bound rows, and N0 from that
-basis extended by the phase, i.e. from F0; F1 is never built.  Amplitudes
-live in the subring of Z[1/sqrt(2)] of values m * sqrt(2)^(-e); all
-arithmetic is exact and no floating point appears anywhere.
+counting.  The Groebner path first solves the bound rows for every path
+variable that one of them fixes linearly and substitutes it away; on the
+residual system it takes N0 + N1 from the reduced basis of the rows, and N0
+from that basis extended by the phase, i.e. from F0; F1 is never built.
+Brute force counts the unreduced system, so the two stay independent.
+Amplitudes live in the subring of Z[1/sqrt(2)] of values m * sqrt(2)^(-e);
+all arithmetic is exact and no floating point appears anywhere.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
 from .gf2poly import Poly, input_var
-from .groebner import _check_root_count_cap, _count_standard, _gb_masks
+from .groebner import _check_root_count_cap, _count_standard, _gb_masks, _mul_mono
 
 BRUTE_HADAMARD_CAP = 24
 MATRIX_QUBIT_CAP = 10
@@ -195,6 +198,56 @@ def _toggle_constant(masks: tuple[int, ...], bit: int) -> tuple[int, ...]:
     return (*masks, 0)
 
 
+def _substitute(p: set[int], v: int, g: set[int]) -> None:
+    """Replace the one-bit monomial v by the polynomial g in p, in place.
+
+    Each monomial m containing v becomes (m without v) * g, XOR-accumulated;
+    g must not mention v.
+    """
+    for m in [m for m in p if m & v]:
+        p.remove(m)
+        p ^= _mul_mono(g, m ^ v)
+
+
+def _solve_linear(
+    rows: Sequence[tuple[int, ...]], phase: tuple[int, ...], h: int
+) -> "tuple[list[set[int]], set[int], int] | None":
+    """Solve the rows for every path variable that one of them fixes.
+
+    A row e in which the one-bit monomial v is the only monomial containing
+    v reads v + g with g free of v, so every root has v = g: e is dropped,
+    v := g is substituted in the other rows and in the phase, and v leaves
+    the free mask.  Each root of the residual rows over the free variables
+    extends to exactly one root of the input rows, with the same phase, so
+    both counts survive.  Pivots are the first solvable row and its highest
+    solvable v.  Returns (residual rows, phase, free mask), or None when a
+    row is the constant 1 and nothing is a root.
+    """
+    polys = [set(r) for r in rows]
+    phi = set(phase)
+    free = (1 << h) - 1
+    while True:
+        polys = [p for p in polys if p]
+        if {0} in polys:
+            return None
+        for i, e in enumerate(polys):
+            cover = 0
+            for m in e:
+                if m & (m - 1):
+                    cover |= m
+            pivots = [m for m in e if m and not m & (m - 1) and not m & cover]
+            if pivots:
+                break
+        else:
+            return polys, phi, free
+        v = max(pivots)
+        g = polys.pop(i)
+        g.remove(v)
+        free &= ~v
+        for p in (*polys, phi):
+            _substitute(p, v, g)
+
+
 def _gb_pair(
     rows: Sequence[tuple[int, ...]],
     phase: tuple[int, ...],
@@ -203,25 +256,36 @@ def _gb_pair(
 ) -> CountPair:
     """Root counts of the bound F0 and F1 over the h compact path variables.
 
-    N0 + N1 is the root count of the bound rows alone, so their basis is
-    computed once and, unless the rows have no root, extended by the phase
-    to count N0; N1 is the difference.
+    The rows are first solved for the variables they fix (_solve_linear),
+    and only the residual system reaches Buchberger.  N0 + N1 is the root
+    count of the residual rows over the free variables, so their basis is
+    computed once and, unless the rows have no root, extended by the
+    substituted phase to count N0; N1 is the difference.  A free variable
+    that occurs nowhere is a free leaf of the count, a factor 2.
     """
     _check_root_count_cap(h)
-    full = (1 << h) - 1
-    f = [_toggle_constant(masks, bit) for masks, bit in zip(rows, bbits)]
+    solved = _solve_linear(
+        [_toggle_constant(masks, bit) for masks, bit in zip(rows, bbits)], phase, h
+    )
+    if solved is None:
+        return CountPair(0, 0)
+    f, phi, free = solved
     rows_basis = _gb_masks(f, h)
-    total = _count_standard([g[0] for g in rows_basis], full)
+    total = _count_standard([g[0] for g in rows_basis], free)
     if total == 0:
         return CountPair(0, 0)
-    n0 = _count_standard([g[0] for g in _gb_masks([phase], h, rows_basis)], full)
+    n0 = _count_standard([g[0] for g in _gb_masks([phi], h, rows_basis)], free)
     return CountPair(n0, total - n0)
 
 
 def count_groebner(
     ps: PolySystem, a: "str | Sequence[int]", b: "str | Sequence[int]"
 ) -> CountPair:
-    """Count roots of the bound rows, then of F0, via Groebner bases."""
+    """Count roots of the bound rows, then of F0, via Groebner bases.
+
+    The linearly fixed path variables are solved for first, so only the
+    residual system reaches Buchberger (see _gb_pair).
+    """
     abits = parse_bits(a, ps.n, "a")
     bbits = parse_bits(b, ps.n, "b")
     rows, phase = _bound_x_masks(ps, abits)
@@ -258,9 +322,12 @@ def _truth_table_patterns(h: int) -> list[int]:
     patterns = []
     for p in range(h):
         block = 1 << p
-        period = ((1 << block) - 1) << block
-        repeats = ((1 << width) - 1) // ((1 << (2 * block)) - 1)
-        patterns.append(period * repeats)
+        pattern = ((1 << block) - 1) << block
+        span = 2 * block
+        while span < width:
+            pattern |= pattern << span
+            span *= 2
+        patterns.append(pattern)
     return patterns
 
 
@@ -286,8 +353,9 @@ def row_counts(
     """CountPairs for all 2^N outputs b (ascending big-endian), fixed input a.
 
     The brute path builds the truth tables once, as count_bruteforce does,
-    and each b is an AND of matched row tables; the GB path computes the
-    basis of the bound rows for every b and extends it by the phase.
+    and each b is an AND of matched row tables; the GB path, for every b,
+    solves the bound rows for their linearly fixed variables, computes the
+    basis of the residual rows and extends it by the substituted phase.
     """
     outputs = range(1 << ps.n)
     if method is Method.GB:

@@ -20,6 +20,7 @@ from pathpoly import (
     VarUniverse,
     assemble_systems,
     bit_label,
+    circuit_unitary,
     compile_circuit,
     count_bruteforce,
     count_groebner,
@@ -33,6 +34,7 @@ from pathpoly import (
     row_counts,
 )
 
+from pathpoly.amplitudes import _truth_table_patterns
 from conftest import DEMO_MATRIX, brute_root_count, circuits
 
 
@@ -157,6 +159,19 @@ def test_count_groebner_inconsistent_system():
     assert count_groebner(ps, "00", "01") == CountPair(0, 0)
 
 
+def test_count_groebner_returns_early_when_a_row_becomes_one(monkeypatch):
+    # rows x1 and x1 + a2: with b = 10, solving x1 + 1 sets x1 := 1, which
+    # turns x1 + 0 into the constant 1 before any basis is computed
+    ps = compile_circuit(parse_circuit("qubits 2\ncolumns 2\nH Iv\nI Av\n"))
+    assert count_bruteforce(ps, "00", "10") == CountPair(0, 0)
+
+    def no_basis(*args):
+        raise AssertionError("_gb_masks called")
+
+    monkeypatch.setattr("pathpoly.amplitudes._gb_masks", no_basis)
+    assert count_groebner(ps, "00", "10") == CountPair(0, 0)
+
+
 def test_count_groebner_without_hadamards():
     # h = 0: the bound rows are constants, so each b has one path or none
     ps = compile_circuit(parse_circuit("qubits 2\ncolumns 1\nIv\nAv\n"))
@@ -239,6 +254,16 @@ def test_row_counts_match_per_entry_counts(c, a_index):
     assert list(gb) == singles
 
 
+def test_truth_table_patterns_match_their_definition():
+    for h in range(11):
+        patterns = _truth_table_patterns(h)
+        assert len(patterns) == h
+        for p, pattern in enumerate(patterns):
+            assert pattern >> (1 << h) == 0
+            for sigma in range(1 << h):
+                assert (pattern >> sigma) & 1 == (sigma >> p) & 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(circuits(max_qubits=3, max_columns=4, max_h=8), st.data())
 def test_count_bruteforce_matches_point_evaluation(c, data):
@@ -267,6 +292,35 @@ def test_gb_row_counts_match_brute_at_larger_h():
         ps = compile_circuit(c)
         a = bit_label(rng.randrange(1 << ps.n), ps.n)
         assert row_counts(ps, a, Method.GB) == row_counts(ps, a, Method.BRUTE)
+
+
+def _h_toffoli_h(rng: random.Random) -> Circuit:
+    """An all-H column, 2-4 columns of Toffoli chains, an all-H column."""
+    n = rng.randint(3, 4)
+    columns = [["H"] * n]
+    for _ in range(rng.randint(2, 4)):
+        length = rng.randint(3, n)
+        top = rng.randint(0, n - length)
+        column = ["I"] * n
+        if rng.random() < 0.5:
+            column[top : top + length] = ["Iv", *["Mv"] * (length - 2), "Av"]
+        else:
+            column[top : top + length] = ["A^", *["M^"] * (length - 2), "I^"]
+        columns.append(column)
+    columns.append(["H"] * n)
+    rows = "".join(" ".join(col[r] for col in columns) + "\n" for r in range(n))
+    return parse_circuit(f"qubits {n}\ncolumns {len(columns)}\n{rows}")
+
+
+def test_three_way_agreement_on_h_toffoli_h_circuits():
+    # the linear solve removes the last column's variables; the phase left
+    # over the first column's keeps the Toffoli chains' products, so the
+    # residual system still goes to Buchberger on every binding
+    rng = random.Random(6)
+    for _ in range(12):
+        c = _h_toffoli_h(rng)
+        oracle = tuple(circuit_unitary(c).report_rows())
+        assert full_matrix(c, Method.GB) == full_matrix(c, Method.BRUTE) == oracle
 
 
 # rendering
