@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .circuit import Circuit, Gate, column_chains
+from .errors import CapExceeded
 from .gf2poly import Poly, VarUniverse, input_var, output_var, path_var
+
+# Most term pairs one control-row product may form.  The benchmark's deep
+# compiles (40-80 columns, up to 3 controls) form at most about 2*10^4; a
+# product at the cap takes well under a second.
+COMPILE_PRODUCT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,12 @@ def column_states(circuit: Circuit) -> Iterator[tuple[tuple[Poly, ...], Poly]]:
         for chain in column_chains(column, column_index=c):
             signal = state[chain.controls[0] - 1]
             for r in chain.controls[1:]:
+                pairs = len(signal.monomial_masks) * len(state[r - 1].monomial_masks)
+                if pairs > COMPILE_PRODUCT_CAP:
+                    raise CapExceeded(
+                        f"column {c}: control-row product of {pairs} term pairs "
+                        f"exceeds the cap of {COMPILE_PRODUCT_CAP}"
+                    )
                 signal = signal * state[r - 1]
             new_state[chain.target - 1] = state[chain.target - 1] + signal
         for r in range(1, circuit.n_qubits + 1):

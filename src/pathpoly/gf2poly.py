@@ -9,6 +9,10 @@ comparing two masks as plain integers is exactly the lexicographic order on
 monomials.  That lex order is the only term order: another precedence is
 another universe.  Polynomials store their masks sorted descending, which
 makes the canonical form unique and the leading monomial the first entry.
+
+Printing costs O(degree) per monomial, independent of the universe size: a
+universe builds its bit-indexed table of variables and names once, and a
+mask is read from its top set bit down, one `int.bit_length` per variable.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ class VarUniverse:
     comparison of monomial masks realises the lexicographic term order.
     """
 
-    __slots__ = ("variables", "_bits", "_hash")
+    __slots__ = ("variables", "_bits", "_by_bit", "_names", "_hash")
 
     def __init__(self, variables: Iterable[Variable]):
         vs = tuple(variables)
@@ -81,6 +85,8 @@ class VarUniverse:
         self.variables = vs
         size = len(vs)
         self._bits = {v: size - 1 - i for i, v in enumerate(vs)}
+        self._by_bit = vs[::-1]
+        self._names = tuple(str(v) for v in self._by_bit)
         self._hash = hash(vs)
 
     @classmethod
@@ -119,8 +125,11 @@ class VarUniverse:
 
     def variables_of(self, mask: int) -> tuple[Variable, ...]:
         """Variables of a monomial mask, highest precedence first."""
-        size = len(self.variables)
-        return tuple(v for i, v in enumerate(self.variables) if mask >> (size - 1 - i) & 1)
+        return tuple(_top_down(self._by_bit, mask))
+
+    def monomial_str(self, mask: int) -> str:
+        """Display form of a monomial mask: its names joined by '*', or '1'."""
+        return "*".join(_top_down(self._names, mask)) if mask else "1"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VarUniverse) and self.variables == other.variables
@@ -130,6 +139,18 @@ class VarUniverse:
 
     def __repr__(self) -> str:
         return f"VarUniverse({', '.join(map(str, self.variables))})"
+
+
+def _top_down(table: tuple, mask: int) -> list:
+    """The entries of a bit-indexed table at the set bits of mask, top bit first."""
+    if not 0 <= mask < 1 << len(table):
+        raise ValueError(f"mask {mask:#x} has bits outside the universe")
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(table[top])
+        mask ^= 1 << top
+    return out
 
 
 def _check_same_universe(a: "VarUniverse", b: "VarUniverse") -> None:
@@ -175,9 +196,7 @@ class Monomial:
         return Monomial(self.universe, self.mask | other.mask)
 
     def __str__(self) -> str:
-        if self.mask == 0:
-            return "1"
-        return "*".join(str(v) for v in self.variables)
+        return self.universe.monomial_str(self.mask)
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -398,7 +417,7 @@ class Poly:
     def __str__(self) -> str:
         if not self._masks:
             return "0"
-        return " + ".join(str(Monomial(self.universe, m)) for m in self._masks)
+        return " + ".join(map(self.universe.monomial_str, self._masks))
 
     def __repr__(self) -> str:
         return f"Poly({self})"

@@ -14,7 +14,10 @@ from pathpoly.cli import main
 from conftest import DEMO_TEXT
 
 DATA = Path(__file__).parent / "data"
-DEMO_PATH = str(Path(__file__).parent.parent / "circuits" / "demo_n3.qc")
+CIRCUITS = Path(__file__).parent.parent / "circuits"
+DEMO_PATH = str(CIRCUITS / "demo_n3.qc")
+GOLDEN_N8_PATH = str(CIRCUITS / "golden_n8.qc")
+BLOWUP_PATH = str(CIRCUITS / "blowup_n10.qc")
 
 COMPILE_OUTPUT = """\
 b1 = x2*x4 + x3
@@ -145,6 +148,27 @@ def test_export_matches_golden(capsys, demo_path, fmt):
     code, out, _ = run(capsys, "export", demo_path, "--format", fmt)
     assert code == 0
     assert out == (DATA / f"export_{fmt}.golden").read_text()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["compile"], "golden_n8_compile"),
+    (["export", "--format", "plain"], "golden_n8_export_plain"),
+    (["export", "--format", "maple"], "golden_n8_export_maple"),
+    (["export", "--format", "mathematica"], "golden_n8_export_mathematica"),
+    (["gb", "--bind", "a=10110010,b=00011101"], "golden_n8_gb"),
+])
+def test_outputs_at_scale_match_golden(capsys, argv, golden):
+    # an 8-qubit, 41-column multi-control circuit whose rows reach 108 terms
+    code, out, _ = run(capsys, argv[0], GOLDEN_N8_PATH, *argv[1:])
+    assert code == 0
+    assert out == (DATA / f"{golden}.golden").read_text()
+
+
+def test_compile_cap_names_the_column(capsys):
+    # rows reach 8009 terms by column 40; uncapped, compiling does not finish
+    code, out, err = run(capsys, "compile", BLOWUP_PATH)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column 40:")
 
 
 def test_exit_code_validation_errors(capsys, demo_path):

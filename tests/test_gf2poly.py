@@ -252,6 +252,45 @@ def test_str_matches_display_syntax():
     assert str(Poly.one(U4)) == "1"
 
 
+def _scan_variables(universe: VarUniverse, mask: int) -> tuple[Variable, ...]:
+    """The definition: the variables whose bits are set, in precedence order."""
+    size = universe.size
+    return tuple(v for i, v in enumerate(universe.variables) if mask >> (size - 1 - i) & 1)
+
+
+def _reference_monomial(universe: VarUniverse, mask: int) -> str:
+    return "*".join(str(v) for v in _scan_variables(universe, mask)) or "1"
+
+
+@st.composite
+def display_universes(draw) -> VarUniverse:
+    """for_circuit universes, their reversals, and universes Poly.parse infers."""
+    standard = VarUniverse.for_circuit(draw(st.integers(0, 12)), draw(st.integers(0, 6)))
+    kind = draw(st.sampled_from(["for_circuit", "reversed", "parsed"]))
+    if kind == "reversed":
+        return VarUniverse(reversed(standard.variables))
+    if kind == "parsed" and standard.size:
+        mentioned = draw(st.lists(st.sampled_from(standard.variables), min_size=1, unique=True))
+        return Poly.parse(" + ".join(map(str, mentioned))).universe
+    return standard
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_display_matches_precedence_scan(data):
+    universe = data.draw(display_universes())
+    masks = data.draw(st.lists(st.integers(0, (1 << universe.size) - 1), max_size=8))
+    for mask in masks:
+        assert universe.variables_of(mask) == _scan_variables(universe, mask)
+        assert str(Monomial(universe, mask)) == _reference_monomial(universe, mask)
+    f = Poly(universe, masks)
+    expected = " + ".join(_reference_monomial(universe, m) for m in f.monomial_masks) or "0"
+    assert str(f) == expected
+    for bad in (-1, 1 << universe.size):
+        with pytest.raises(ValueError):
+            universe.variables_of(bad)
+
+
 def test_parse_accepts_xor_symbol():
     assert p("x1 ⊕ x2 ⊕ 1", U4) == p("x1 + x2 + 1", U4)
 
