@@ -55,13 +55,14 @@ def column_states(circuit: Circuit) -> Iterator[tuple[tuple[Poly, ...], Poly]]:
         for chain in column_chains(column, column_index=c):
             signal = state[chain.controls[0] - 1]
             for r in chain.controls[1:]:
-                pairs = len(signal.monomial_masks) * len(state[r - 1].monomial_masks)
+                factor = state[r - 1]
+                pairs = len(signal.monomial_masks) * len(factor.monomial_masks)
                 if pairs > COMPILE_PRODUCT_CAP:
                     raise CapExceeded(
                         f"column {c}: control-row product of {pairs} term pairs "
                         f"exceeds the cap of {COMPILE_PRODUCT_CAP}"
                     )
-                signal = signal * state[r - 1]
+                signal = signal * factor
             new_state[chain.target - 1] = state[chain.target - 1] + signal
         for r in range(1, circuit.n_qubits + 1):
             if column[r - 1] is Gate.HADAMARD:
