@@ -22,8 +22,8 @@ from typing import Sequence
 from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
-from .gf2poly import Poly, input_var
-from .groebner import _check_root_count_cap, _count_standard, _gb_masks, _mul_mono
+from .gf2poly import Poly, _mul_mono, input_var
+from .groebner import _check_root_count_cap, _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
 MATRIX_QUBIT_CAP = 10

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--bind", default=None, help="bindings like a=010,b=110 (either optional)")
 
     export = add("export", "print the polynomial system for computer algebra systems")
-    export.add_argument("--format", choices=["plain", "maple", "mathematica"], required=True)
+    export.add_argument("--format", choices=list(_EXPORTERS), required=True)
     return parser
 
 
@@ -93,45 +93,34 @@ def _parse_bind(spec: "str | None") -> dict[str, str]:
     return bindings
 
 
-def _system_polys(ps: PolySystem) -> tuple[list[str], list[str]]:
-    """Names and display strings of the symbolic system f_1..f_N, phi."""
+# per format: how one polynomial is written, what separates two of them, and
+# the text around the whole list ({body}) and the variables ({vars})
+_EXPORTERS = {
+    "plain": ("{name} = {poly}", "\n", "{body}\n"),
+    "maple": (
+        "  {poly}",
+        ",\n",
+        "vars := [{vars}]:\nF := [\n{body}\n]:\n"
+        "# reduce over GF(2): Groebner:-Basis(F, plex(op(vars)), characteristic = 2);\n",
+    ),
+    "mathematica": (
+        "  {poly}",
+        ",\n",
+        "vars = {{{vars}}};\npolys = {{\n{body}\n}};\n"
+        "(* reduce over GF(2): GroebnerBasis[polys, vars, Modulus -> 2] *)\n",
+    ),
+}
+
+
+def export_system(ps: PolySystem, fmt: str) -> str:
+    """The symbolic system f_1..f_N, phi in one of the _EXPORTERS formats."""
+    line, sep, template = _EXPORTERS[fmt]
     f0, _ = assemble_systems(ps)
     names = [f"f{i}" for i in range(1, ps.n + 1)] + ["phi"]
-    return names, [str(p) for p in f0]
-
-
-def export_plain(ps: PolySystem) -> str:
-    names, polys = _system_polys(ps)
-    return "".join(f"{n} = {p}\n" for n, p in zip(names, polys))
-
-
-def export_maple(ps: PolySystem) -> str:
-    _, polys = _system_polys(ps)
-    vars_list = ", ".join(str(v) for v in ps.universe.variables)
-    body = ",\n".join(f"  {p}" for p in polys)
-    return (
-        f"vars := [{vars_list}]:\n"
-        f"F := [\n{body}\n]:\n"
-        "# reduce over GF(2): Groebner:-Basis(F, plex(op(vars)), characteristic = 2);\n"
+    return template.format(
+        vars=", ".join(str(v) for v in ps.universe.variables),
+        body=sep.join(line.format(name=n, poly=p) for n, p in zip(names, f0)),
     )
-
-
-def export_mathematica(ps: PolySystem) -> str:
-    _, polys = _system_polys(ps)
-    vars_list = ", ".join(str(v) for v in ps.universe.variables)
-    body = ",\n".join(f"  {p}" for p in polys)
-    return (
-        f"vars = {{{vars_list}}};\n"
-        f"polys = {{\n{body}\n}};\n"
-        "(* reduce over GF(2): GroebnerBasis[polys, vars, Modulus -> 2] *)\n"
-    )
-
-
-_EXPORTERS = {
-    "plain": export_plain,
-    "maple": export_maple,
-    "mathematica": export_mathematica,
-}
 
 
 def _run(args: argparse.Namespace) -> None:
@@ -166,7 +155,7 @@ def _run(args: argparse.Namespace) -> None:
             for g in buchberger(system).generators:
                 print(g)
     elif args.verb == "export":
-        print(_EXPORTERS[args.format](compile_circuit(circuit)), end="")
+        print(export_system(compile_circuit(circuit), args.format), end="")
     else:  # pragma: no cover - argparse enforces the verb set
         raise AssertionError(f"unhandled verb {args.verb}")
 

@@ -10,6 +10,11 @@ monomials.  That lex order is the only term order: another precedence is
 another universe.  Polynomials store their masks sorted descending, which
 makes the canonical form unique and the leading monomial the first entry.
 
+This module is the one place that knows the mask representation: `_mul_mono`
+(a mask polynomial times a monomial, with repeated terms cancelling in pairs)
+is the kernel that `Poly`, `groebner` and the linear solve in `amplitudes`
+share.  `Poly.substitute` binds variables to the constants 0 and 1 only.
+
 Printing costs O(degree) per monomial, independent of the universe size: a
 universe builds its bit-indexed table of variables and names once, and a
 mask is read from its top set bit down, one `int.bit_length` per variable.
@@ -153,6 +158,19 @@ def _top_down(table: tuple, mask: int) -> list:
     return out
 
 
+def _mul_mono(p: Iterable[int], q: int) -> set[int]:
+    """The mask polynomial p times the monomial q: q is ORed into every term
+    and terms that coincide cancel in pairs.  With q = 0 it sums the masks."""
+    out: set[int] = set()
+    for m in p:
+        mq = m | q
+        if mq in out:
+            out.discard(mq)
+        else:
+            out.add(mq)
+    return out
+
+
 def _check_same_universe(a: "VarUniverse", b: "VarUniverse") -> None:
     if a != b:
         raise ValueError("operands live in different universes")
@@ -219,14 +237,8 @@ class Poly:
     __slots__ = ("universe", "_masks")
 
     def __init__(self, universe: VarUniverse, masks: Iterable[int] = ()):
-        acc: set[int] = set()
-        for m in masks:
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
         self.universe = universe
-        self._masks = tuple(sorted(acc, reverse=True))
+        self._masks = tuple(sorted(_mul_mono(masks, 0), reverse=True))
 
     @classmethod
     def zero(cls, universe: VarUniverse) -> "Poly":
@@ -359,60 +371,22 @@ class Poly:
             parity ^= (m & ~ones) == 0
         return parity
 
-    def substitute(self, bindings: Mapping[Variable, "Poly | int"]) -> "Poly":
-        """Simultaneously replace variables by polynomials of the same universe.
+    def substitute(self, bindings: Mapping[Variable, int]) -> "Poly":
+        """Bind variables to the constants 0 and 1.
 
-        Replacement polynomials must not mention any substituted variable, so
-        the result is well defined without iteration.
+        A monomial containing a variable bound to 0 drops out, and a variable
+        bound to 1 is cleared from every monomial.
         """
-        table: dict[int, tuple[int, ...] | int] = {}
-        key_mask = 0
+        zeros = ones = 0
         for v, val in bindings.items():
-            bit = self.universe.bit(v)
-            key_mask |= 1 << bit
-            if isinstance(val, Poly):
-                _check_same_universe(self.universe, val.universe)
-                table[bit] = val._masks
-            elif val in (0, 1):
-                table[bit] = val
+            if val not in (0, 1):
+                raise ValueError(f"binding for {v} must be 0 or 1, got {val!r}")
+            bit = 1 << self.universe.bit(v)
+            if val:
+                ones |= bit
             else:
-                raise ValueError(f"binding for {v} must be a Poly, 0 or 1, got {val!r}")
-        for val in table.values():
-            if isinstance(val, tuple):
-                for m in val:
-                    if m & key_mask:
-                        raise ValueError("substitute: replacement mentions a substituted variable")
-        result: set[int] = set()
-        for m in self._masks:
-            parts = [m & ~key_mask]
-            dead = False
-            rest = m & key_mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                val = table[low.bit_length() - 1]
-                if val == 1:
-                    continue
-                if val == 0:
-                    dead = True
-                    break
-                nxt: set[int] = set()
-                for pa in parts:
-                    for pb in val:
-                        t = pa | pb
-                        if t in nxt:
-                            nxt.discard(t)
-                        else:
-                            nxt.add(t)
-                parts = list(nxt)
-            if dead:
-                continue
-            for t in parts:
-                if t in result:
-                    result.discard(t)
-                else:
-                    result.add(t)
-        return Poly(self.universe, result)
+                zeros |= bit
+        return Poly(self.universe, (m & ~ones for m in self._masks if not m & zeros))
 
     def __str__(self) -> str:
         if not self._masks:

@@ -17,7 +17,7 @@ polynomial is a frozenset of monomial bitmasks as the universe lays them out.
 The term order is lex by the universe's precedence, so monomial comparison
 is integer comparison and the leading monomial is the maximum.  Addition is
 symmetric difference, and multiplying by a monomial ORs its mask into every
-term.
+term (gf2poly._mul_mono, the mask kernel this module shares with Poly).
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import CapExceeded
-from .gf2poly import Monomial, Poly, Variable, VarUniverse
+from .gf2poly import Monomial, Poly, Variable, VarUniverse, _mul_mono
 
 ROOT_COUNT_VARIABLE_CAP = 20
 
@@ -38,28 +38,8 @@ ROOT_COUNT_VARIABLE_CAP = 20
 # ---------------------------------------------------------------------------
 # the kernel: polynomial = frozenset of masks
 
-def _from_masks(masks: Iterable[int]) -> frozenset[int]:
-    """Sum of monomials: masks that occur an even number of times cancel."""
-    return _mul_mono(masks, 0)
-
-
-def _to_masks(p: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(p, reverse=True))
-
-
-def _mul_mono(p: Iterable[int], q: int) -> frozenset[int]:
-    out: set[int] = set()
-    for m in p:
-        mq = m | q
-        if mq in out:
-            out.discard(mq)
-        else:
-            out.add(mq)
-    return frozenset(out)
-
-
 def _nf(
-    p: frozenset[int], lms: Sequence[int], polys: Sequence[frozenset[int]]
+    p: AbstractSet[int], lms: Sequence[int], polys: Sequence[frozenset[int]]
 ) -> frozenset[int]:
     """Full normal form: reduce every monomial of p by the first divisor found."""
     work = set(p)
@@ -83,7 +63,7 @@ def _nf(
 
 
 def _buchberger(
-    inputs: Iterable[frozenset[int]], basis: Sequence[frozenset[int]] = ()
+    inputs: Iterable[AbstractSet[int]], basis: Sequence[frozenset[int]] = ()
 ) -> list[frozenset[int]]:
     """Reduced Groebner basis of basis + inputs, descending by leading monomial.
 
@@ -157,14 +137,8 @@ def _gb_masks(
     the number of mask_polys, from this call.
     """
     seed = [frozenset(g) for g in basis]
-    return [_to_masks(p) for p in _buchberger((_from_masks(p) for p in mask_polys), seed)]
-
-
-def _nf_masks(p_masks: Iterable[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Normal form on raw mask polynomials, descending."""
-    lms = [b[0] for b in basis]
-    polys = [_from_masks(b) for b in basis]
-    return _to_masks(_nf(_from_masks(p_masks), lms, polys))
+    reduced = _buchberger((_mul_mono(p, 0) for p in mask_polys), seed)
+    return [tuple(sorted(p, reverse=True)) for p in reduced]
 
 
 def _check_root_count_cap(n_vars: int) -> None:
@@ -246,9 +220,8 @@ def normal_form(p: Poly, G: "GroebnerBasis | Iterable[Poly]") -> Poly:
     gens = tuple(G)
     universe = _require_universe((p, *gens))
     basis = [g.monomial_masks for g in gens if not g.is_zero]
-    if not basis:
-        return p
-    return Poly(universe, _nf_masks(p.monomial_masks, basis))
+    lms = [b[0] for b in basis]
+    return Poly(universe, _nf(frozenset(p.monomial_masks), lms, [frozenset(b) for b in basis]))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

@@ -1,14 +1,20 @@
 """Command-line front-end: verbs, formats, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
+import random
+import re
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathpoly import cli
+from pathpoly import CircuitError, Gate, cli, format_circuit, parse_circuit, random_circuit
 from pathpoly.cli import main
 
 from conftest import DEMO_TEXT
@@ -151,15 +157,19 @@ def test_export_matches_golden(capsys, demo_path, fmt):
 
 
 @pytest.mark.parametrize("argv,golden", [
-    (["compile"], "golden_n8_compile"),
-    (["export", "--format", "plain"], "golden_n8_export_plain"),
-    (["export", "--format", "maple"], "golden_n8_export_maple"),
-    (["export", "--format", "mathematica"], "golden_n8_export_mathematica"),
-    (["gb", "--bind", "a=10110010,b=00011101"], "golden_n8_gb"),
+    # an 8-qubit, 41-column multi-control circuit whose rows reach 108 terms
+    (["compile", GOLDEN_N8_PATH], "golden_n8_compile"),
+    (["export", GOLDEN_N8_PATH, "--format", "plain"], "golden_n8_export_plain"),
+    (["export", GOLDEN_N8_PATH, "--format", "maple"], "golden_n8_export_maple"),
+    (["export", GOLDEN_N8_PATH, "--format", "mathematica"], "golden_n8_export_mathematica"),
+    (["gb", GOLDEN_N8_PATH, "--bind", "a=10110010,b=00011101"], "golden_n8_gb"),
+    # the demo circuit's bases with parameters left symbolic
+    (["gb", DEMO_PATH], "demo_gb"),
+    (["gb", DEMO_PATH, "--bind", "a=010"], "demo_gb_a010"),
+    (["gb", DEMO_PATH, "--bind", "b=110"], "demo_gb_b110"),
 ])
 def test_outputs_at_scale_match_golden(capsys, argv, golden):
-    # an 8-qubit, 41-column multi-control circuit whose rows reach 108 terms
-    code, out, _ = run(capsys, argv[0], GOLDEN_N8_PATH, *argv[1:])
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (DATA / f"{golden}.golden").read_text()
 
@@ -210,3 +220,55 @@ def test_exit_code_internal_error(capsys, demo_path, monkeypatch):
     code, _, err = run(capsys, "compile", demo_path)
     assert code == 3
     assert err.startswith("internal error:")
+
+
+_GATE_TOKENS = tuple(g.token for g in Gate)
+_SOUP_TOKENS = _GATE_TOKENS + (
+    "qubits", "columns", "0", "1", "2", "3", "4", "9", "#", " ", "  ", "\t", "\n", "\n\n",
+)
+
+
+@st.composite
+def _mutated_circuits(draw) -> str:
+    """A random valid circuit's text after a few edits: a cell replaced, or a
+    token or character inserted or deleted.  Whitespace runs count as tokens;
+    a cell replaced by another gate keeps the grid's shape."""
+    text = format_circuit(random_circuit(random.Random(draw(st.integers(0, 2**32))), 4, 5, 6))
+    for _ in range(draw(st.integers(1, 3))):
+        pieces = re.split(r"(\s+)", text)
+        cells = [i for i, piece in enumerate(pieces) if piece in _GATE_TOKENS]
+        new = draw(st.sampled_from(_GATE_TOKENS) | st.sampled_from(_SOUP_TOKENS) | st.characters())
+        if cells and draw(st.booleans()):
+            pieces[draw(st.sampled_from(cells))] = new
+        elif draw(st.booleans()):
+            pieces.insert(draw(st.integers(0, len(pieces))), new)
+        else:
+            del pieces[draw(st.integers(0, len(pieces) - 1))]
+        text = "".join(pieces)
+    return text
+
+
+_soups = st.lists(st.sampled_from(_SOUP_TOKENS), max_size=40).map("".join)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_mutated_circuits(), _soups))
+def test_malformed_text_ends_in_a_defined_exit_code(tmp_path_factory, text):
+    try:
+        n = parse_circuit(text).n_qubits
+    except CircuitError:
+        n = 1
+    path = tmp_path_factory.getbasetemp() / "fuzz.qc"
+    path.write_text(text, encoding="utf-8")
+    bits = "0" * n
+    for argv in (
+        ["validate"],
+        ["compile"],
+        ["export", "--format", "plain"],
+        ["count", "--a", bits, "--b", bits, "--method", "gb"],
+        ["gb"],
+        ["matrix", "--method", "gb"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2), (argv, text)
