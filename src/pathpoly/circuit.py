@@ -270,14 +270,15 @@ def place_hadamard(circuit: Circuit, column: int, row: int) -> Circuit:
 
 
 def _parse_header(line_no: int, tokens: list[str], keyword: str) -> int:
-    if (
-        len(tokens) != 2
-        or tokens[0] != keyword
-        or not re.fullmatch(r"[0-9]+", tokens[1])
-        or int(tokens[1]) < 1
-    ):
+    value = 0
+    if len(tokens) == 2 and tokens[0] == keyword and re.fullmatch(r"[0-9]+", tokens[1]):
+        try:
+            value = int(tokens[1])
+        except ValueError:  # more digits than CPython's int() converts
+            pass
+    if value < 1:
         raise CircuitSyntaxError(f"expected '{keyword} <positive integer>'", line=line_no)
-    return int(tokens[1])
+    return value
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -10,10 +10,13 @@ monomials.  That lex order is the only term order: another precedence is
 another universe.  Polynomials store their masks sorted descending, which
 makes the canonical form unique and the leading monomial the first entry.
 
-This module is the one place that knows the mask representation: `_mul_mono`
-(a mask polynomial times a monomial, with repeated terms cancelling in pairs)
-is the kernel that `Poly`, `groebner` and the linear solve in `amplitudes`
-share.  `Poly.substitute` binds variables to the constants 0 and 1 only.
+`Poly` is the only polynomial type; a monomial is a one-term `Poly`, as
+`Poly.leading_monomial` returns it.  This module is the one place that knows
+the mask representation: `_mul_mono` (a mask polynomial times a monomial,
+with repeated terms cancelling in pairs) is the kernel that `Poly`,
+`groebner` and the linear solve in `amplitudes` share, and `Poly.__init__`,
+through it, is the only place where `Poly` cancels and sorts terms.
+`Poly.substitute` binds variables to the constants 0 and 1 only.
 
 Printing costs O(degree) per monomial, independent of the universe size: a
 universe builds its bit-indexed table of variables and names once, and a
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class VarKind(Enum):
@@ -176,51 +179,7 @@ def _check_same_universe(a: "VarUniverse", b: "VarUniverse") -> None:
         raise ValueError("operands live in different universes")
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A squarefree product of variables, encoded as a bitmask over a universe."""
-
-    universe: VarUniverse
-    mask: int
-
-    @classmethod
-    def of(cls, universe: VarUniverse, variables: Iterable[Variable]) -> "Monomial":
-        return cls(universe, universe.mask_of(variables))
-
-    @classmethod
-    def one(cls, universe: VarUniverse) -> "Monomial":
-        return cls(universe, 0)
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        return self.universe.variables_of(self.mask)
-
-    @property
-    def is_one(self) -> bool:
-        return self.mask == 0
-
-    def divides(self, other: "Monomial") -> bool:
-        _check_same_universe(self.universe, other.universe)
-        return self.mask & other.mask == self.mask
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        _check_same_universe(self.universe, other.universe)
-        return Monomial(self.universe, self.mask | other.mask)
-
-    def __str__(self) -> str:
-        return self.universe.monomial_str(self.mask)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self})"
-
-
-PolyLike = Union["Poly", Monomial, int]
+PolyLike = Union["Poly", int]
 
 _TERM_SPLIT = re.compile(r"\+|⊕")
 
@@ -228,10 +187,10 @@ _TERM_SPLIT = re.compile(r"\+|⊕")
 class Poly:
     """A canonical Z2 polynomial: a descending tuple of distinct monomial masks.
 
-    Addition is XOR of monomial sets; multiplication ORs masks pairwise and
-    cancels duplicates, which is exactly idempotent squarefree multiplication.
-    Construction canonicalises, so two equal polynomials are structurally
-    identical.
+    Construction cancels repeated masks in pairs and sorts, so two equal
+    polynomials are structurally identical.  Addition hands both operands'
+    masks to the constructor; multiplication ORs masks pairwise, which is
+    exactly idempotent squarefree multiplication.
     """
 
     __slots__ = ("universe", "_masks")
@@ -264,10 +223,6 @@ class Poly:
         return self._masks
 
     @property
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(self.universe, m) for m in self._masks)
-
-    @property
     def is_zero(self) -> bool:
         return not self._masks
 
@@ -290,19 +245,16 @@ class Poly:
             support |= m
         return self.universe.variables_of(support)
 
-    def leading_monomial(self) -> Monomial:
-        """Largest monomial in lex by the universe's precedence."""
+    def leading_monomial(self) -> "Poly":
+        """Largest monomial in lex by the universe's precedence, as a one-term Poly."""
         if not self._masks:
             raise ValueError("the zero polynomial has no leading monomial")
-        return Monomial(self.universe, self._masks[0])
+        return Poly(self.universe, self._masks[:1])
 
     def _coerce(self, other: PolyLike) -> "Poly | None":
         if isinstance(other, Poly):
             _check_same_universe(self.universe, other.universe)
             return other
-        if isinstance(other, Monomial):
-            _check_same_universe(self.universe, other.universe)
-            return Poly(self.universe, (other.mask,))
         if isinstance(other, int):
             return Poly.constant(self.universe, other & 1) if other in (0, 1) else None
         return None
@@ -311,8 +263,7 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        small, large = sorted((set(self._masks), set(p._masks)), key=len)
-        return Poly(self.universe, large.symmetric_difference(small))
+        return Poly(self.universe, self._masks + p._masks)
 
     __radd__ = __add__
     __sub__ = __add__
@@ -323,13 +274,8 @@ class Poly:
         if p is None:
             return NotImplemented
         acc: set[int] = set()
-        for ma in self._masks:
-            for mb in p._masks:
-                m = ma | mb
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
+        for mb in p._masks:
+            acc ^= _mul_mono(self._masks, mb)
         return Poly(self.universe, acc)
 
     __rmul__ = __mul__
@@ -346,9 +292,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self._masks)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.monomials)
 
     def evaluate(self, point: Mapping[Variable, int]) -> int:
         """Value in {0,1} at a point binding every variable of the support."""

@@ -10,14 +10,16 @@ which is the S-polynomial of g with v^2 + v after reduction by the field
 relations.  Processing those pairs restores Buchberger's criterion in the
 quotient ring.
 
-One Buchberger core, _buchberger, holds the pair queue, the registration of
+One Buchberger core, _gb_masks, holds the pair queue, the registration of
 new generators and the final interreduction.  It can start from a reduced
 basis and extend it, forming only the pairs that involve a new generator.  A
-polynomial is a frozenset of monomial bitmasks as the universe lays them out.
-The term order is lex by the universe's precedence, so monomial comparison
-is integer comparison and the leading monomial is the maximum.  Addition is
-symmetric difference, and multiplying by a monomial ORs its mask into every
-term (gf2poly._mul_mono, the mask kernel this module shares with Poly).
+polynomial is a collection of distinct monomial bitmasks as the universe lays
+them out: a descending tuple for inputs and results (Poly.monomial_masks),
+a set while it is being reduced.  The term order is lex by the universe's
+precedence, so monomial comparison is integer comparison and the leading
+monomial is the maximum.  Addition is symmetric difference, and multiplying
+by a monomial ORs its mask into every term (gf2poly._mul_mono, the mask
+kernel this module shares with Poly).
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -27,20 +29,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
-from .gf2poly import Monomial, Poly, Variable, VarUniverse, _mul_mono
+from .gf2poly import Poly, Variable, VarUniverse, _mul_mono
 
 ROOT_COUNT_VARIABLE_CAP = 20
 
 
 # ---------------------------------------------------------------------------
-# the kernel: polynomial = frozenset of masks
+# the kernel: a polynomial is a collection of distinct monomial masks
 
-def _nf(
-    p: AbstractSet[int], lms: Sequence[int], polys: Sequence[frozenset[int]]
-) -> frozenset[int]:
+def _nf(p: Iterable[int], lms: Sequence[int], polys: Sequence[Iterable[int]]) -> set[int]:
     """Full normal form: reduce every monomial of p by the first divisor found."""
     work = set(p)
     out: set[int] = set()
@@ -59,25 +59,30 @@ def _nf(
         else:
             work.discard(mono)
             out.add(mono)
-    return frozenset(out)
+    return out
 
 
-def _buchberger(
-    inputs: Iterable[AbstractSet[int]], basis: Sequence[frozenset[int]] = ()
-) -> list[frozenset[int]]:
-    """Reduced Groebner basis of basis + inputs, descending by leading monomial.
+def _gb_masks(
+    mask_polys: Iterable[Iterable[int]],
+    n_vars: int,
+    basis: Sequence[tuple[int, ...]] = (),
+) -> list[tuple[int, ...]]:
+    """Reduced Groebner basis of basis + mask_polys: descending mask tuples,
+    sorted descending by leading monomial.
 
-    basis must be a reduced Groebner basis; it seeds the generators, and
-    only pairs involving a new generator are formed, since pairs among the
-    seed (field pairs included) already reduce to 0 modulo the seed and so
-    modulo any superset.  Returns [] for the zero ideal and
-    [frozenset({0})] for an inconsistent system.
+    basis must be a reduced basis as this function returns it; it seeds the
+    generators, and only pairs involving a new generator are formed, since
+    pairs among the seed (field pairs included) already reduce to 0 modulo
+    the seed and so modulo any superset.  Returns [] for the zero ideal and
+    [(0,)] for an inconsistent system.  The kernel does not use n_vars; it
+    stays in the signature because the perfbench tracer reads it, with the
+    number of mask_polys, from this call.
     """
-    gens: list[frozenset[int]] = list(basis)
-    lms: list[int] = [max(g) for g in gens]
+    gens: list[Iterable[int]] = list(basis)
+    lms: list[int] = [g[0] for g in basis]
     pairs: list[tuple[int, int, int, int]] = []
 
-    def register(p: frozenset[int]) -> None:
+    def register(p: set[int]) -> None:
         idx = len(gens)
         lm = max(p)
         for j in range(idx):
@@ -91,10 +96,10 @@ def _buchberger(
         gens.append(p)
         lms.append(lm)
 
-    for p in inputs:
-        p = _nf(p, lms, gens)
+    for raw in mask_polys:
+        p = _nf(_mul_mono(raw, 0), lms, gens)
         if p == {0}:
-            return [p]
+            return [(0,)]
         if p:
             register(p)
     while pairs:
@@ -106,7 +111,7 @@ def _buchberger(
             s = _mul_mono(gens[i], j)
         s = _nf(s, lms, gens)
         if s == {0}:
-            return [s]
+            return [(0,)]
         if s:
             register(s)
     keep: list[int] = []
@@ -117,28 +122,8 @@ def _buchberger(
     for i in keep:
         other_lms = [lms[k] for k in keep if k != i]
         other_polys = [gens[k] for k in keep if k != i]
-        reduced.append(_nf(gens[i], other_lms, other_polys))
-    return sorted(reduced, key=max, reverse=True)
-
-
-# ---------------------------------------------------------------------------
-# mask-level front door shared by this module and the amplitude solver
-
-def _gb_masks(
-    mask_polys: Iterable[Iterable[int]],
-    n_vars: int,
-    basis: Sequence[tuple[int, ...]] = (),
-) -> list[tuple[int, ...]]:
-    """Reduced basis on raw mask polynomials, descending.
-
-    basis, a reduced basis as this function returns it, is extended by
-    mask_polys instead of being recomputed.  The kernel does not use n_vars;
-    it stays in the signature because the perfbench tracer reads it, with
-    the number of mask_polys, from this call.
-    """
-    seed = [frozenset(g) for g in basis]
-    reduced = _buchberger((_mul_mono(p, 0) for p in mask_polys), seed)
-    return [tuple(sorted(p, reverse=True)) for p in reduced]
+        reduced.append(tuple(sorted(_nf(gens[i], other_lms, other_polys), reverse=True)))
+    return sorted(reduced, reverse=True)
 
 
 def _check_root_count_cap(n_vars: int) -> None:
@@ -220,8 +205,7 @@ def normal_form(p: Poly, G: "GroebnerBasis | Iterable[Poly]") -> Poly:
     gens = tuple(G)
     universe = _require_universe((p, *gens))
     basis = [g.monomial_masks for g in gens if not g.is_zero]
-    lms = [b[0] for b in basis]
-    return Poly(universe, _nf(frozenset(p.monomial_masks), lms, [frozenset(b) for b in basis]))
+    return Poly(universe, _nf(p.monomial_masks, [b[0] for b in basis], basis))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -257,10 +241,8 @@ def is_groebner_basis(G: GroebnerBasis) -> bool:
         for g in gens[i + 1 :]:
             if not normal_form(s_polynomial(f, g), G).is_zero:
                 return False
-        lm = f.leading_monomial()
-        for v in lm.variables:
-            boolean_product = f * Monomial.of(G.universe, [v])
-            if not normal_form(boolean_product, G).is_zero:
+        for v in f.leading_monomial().variables:
+            if not normal_form(f * Poly.variable(G.universe, v), G).is_zero:
                 return False
     return True
 

@@ -287,12 +287,19 @@ def test_parse_rejects_malformed_documents(text):
         ("qubits \u00b2\ncolumns 1\nH\n", 1),
         ("qubits 1\ncolumns \u00b3\nH\n", 2),
         ("qubits \u0661\ncolumns 1\nH\n", 1),
+        ("qubits " + "1" * 5000 + "\ncolumns 1\nH\n", 1),
     ],
-    ids=["qubits-superscript-two", "columns-superscript-three", "qubits-arabic-indic-one"],
+    ids=[
+        "qubits-superscript-two",
+        "columns-superscript-three",
+        "qubits-arabic-indic-one",
+        "qubits-past-the-int-digit-limit",
+    ],
 )
 def test_parse_header_accepts_only_ascii_digits(text, line, tmp_path, capsys):
     # str.isdigit() accepts superscripts and other scripts' digits; int() then
-    # fails on some of them and silently converts the rest
+    # fails on some of them and silently converts the rest.  int() also fails
+    # on a string of more digits than CPython converts (4300 by default)
     with pytest.raises(CircuitSyntaxError) as e:
         parse_circuit(text)
     assert e.value.line == line
