@@ -5,8 +5,10 @@ time step.  Within a column, vertical signals implement multi-controlled-X
 logic: a source cell (Iv or I^) emits its row value toward the target, pass
 and multiply cells forward it, and an add cell (Av or A^) XORs it into its
 own row.  Every signal must be produced and consumed exactly once, which
-validate_column enforces and column_chains reifies.  H cells are scalar and
-never interact with vertical signals.
+column_chains checks while it collects the chains.  H cells are scalar and
+never interact with vertical signals.  A Circuit decodes each column once, at
+construction: Circuit.steps holds its chains and Hadamard rows, and the
+compiler and the dense oracle read them from there.
 
 Gate tokens (case-sensitive): I, I+, Iv, I^, Mv, M^, Av, A^, H.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -99,17 +101,18 @@ class Chain:
     descending: bool
 
 
+# (emit, multiply, add) gates of a chain, by direction (descending or not)
+_CHAIN_GATES = {
+    True: (Gate.EMIT_DOWN, Gate.MUL_DOWN, Gate.ADD_DOWN),
+    False: (Gate.EMIT_UP, Gate.MUL_UP, Gate.ADD_UP),
+}
+
+
 def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[Chain]:
     """Simulate one signal direction down (or up) a column, collecting chains."""
     n = len(column)
-    if descending:
-        rows = range(1, n + 1)
-        source_gate, mul_gate, add_gate = Gate.EMIT_DOWN, Gate.MUL_DOWN, Gate.ADD_DOWN
-        boundary = n
-    else:
-        rows = range(n, 0, -1)
-        source_gate, mul_gate, add_gate = Gate.EMIT_UP, Gate.MUL_UP, Gate.ADD_UP
-        boundary = 1
+    rows = range(1, n + 1) if descending else range(n, 0, -1)
+    source_gate, mul_gate, add_gate = _CHAIN_GATES[descending]
     chains: list[Chain] = []
     source: int | None = None
     muls: list[int] = []
@@ -136,21 +139,16 @@ def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[
         elif source is not None:
             raise BrokenChain(column_index, r, f"blocked-by {g.token}")
     if source is not None:
-        reason = "dangling-emitter" if source == boundary else "missing-sink"
-        raise BrokenChain(column_index, boundary, reason)
+        reason = "dangling-emitter" if source == rows[-1] else "missing-sink"
+        raise BrokenChain(column_index, rows[-1], reason)
     return chains
 
 
-def validate_column(column: Sequence[Gate], n: int | None = None, column_index: int = 1) -> None:
-    """Raise BrokenChain unless every vertical signal is well-formed."""
-    if n is not None and len(column) != n:
-        raise ValueError(f"column has {len(column)} cells, expected {n}")
-    _sweep(column, column_index, descending=True)
-    _sweep(column, column_index, descending=False)
-
-
 def column_chains(column: Sequence[Gate], column_index: int = 1) -> tuple[Chain, ...]:
-    """All vertical chains of a column (validating it), sorted by source row."""
+    """All vertical chains of a column, sorted by source row.
+
+    Raises BrokenChain unless every vertical signal is well-formed.
+    """
     down = _sweep(column, column_index, descending=True)
     up = _sweep(column, column_index, descending=False)
     return tuple(sorted(down + up, key=lambda ch: ch.source))
@@ -160,13 +158,18 @@ def column_chains(column: Sequence[Gate], column_index: int = 1) -> tuple[Chain,
 class Circuit:
     """An immutable N x M gate grid; grid[r][c] is qubit row r+1, column c+1.
 
-    Construction validates every column.  h counts the Hadamard cells; path
-    variables are numbered 1..h column-major, top to bottom.
+    Construction validates every column and keeps the result in steps: per
+    column, left to right, its chains and its Hadamard rows (ascending).  h
+    counts the Hadamard cells; path variables are numbered 1..h column-major,
+    top to bottom.
     """
 
     n_qubits: int
     n_columns: int
     grid: tuple[tuple[Gate, ...], ...]
+    steps: tuple[tuple[tuple[Chain, ...], tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1 or self.n_columns < 1:
@@ -175,8 +178,16 @@ class Circuit:
             len(row) != self.n_columns for row in self.grid
         ):
             raise ValueError("grid shape does not match declared dimensions")
-        for c in range(1, self.n_columns + 1):
-            validate_column(self.column(c), self.n_qubits, column_index=c)
+        steps = []
+        for c, column in enumerate(zip(*self.grid), 1):
+            hadamards = []
+            for r, g in enumerate(column, 1):
+                if g is Gate.HADAMARD:
+                    hadamards.append(r)
+                elif not isinstance(g, Gate):
+                    raise ValueError(f"column {c}, row {r}: {g!r} is not a Gate")
+            steps.append((column_chains(column, c), tuple(hadamards)))
+        object.__setattr__(self, "steps", tuple(steps))
 
     @classmethod
     def empty(cls, n_qubits: int, n_columns: int) -> "Circuit":
@@ -193,20 +204,28 @@ class Circuit:
     @property
     def h(self) -> int:
         """Number of Hadamard cells."""
-        return sum(g is Gate.HADAMARD for row in self.grid for g in row)
-
-    def with_cells(self, column: int, cells: dict[int, Gate]) -> "Circuit":
-        """A copy with the given {row: gate} assignments in one column."""
-        grid = [list(row) for row in self.grid]
-        for r, g in cells.items():
-            grid[r - 1][column - 1] = g
-        return Circuit(self.n_qubits, self.n_columns, tuple(tuple(row) for row in grid))
+        return sum(len(hadamards) for _, hadamards in self.steps)
 
 
-def _check_rows_in_range(circuit: Circuit, rows: Iterable[int]) -> None:
-    for r in rows:
+def _place(circuit: Circuit, column: int, cells: Iterable[tuple[int, Gate]]) -> Circuit:
+    """A copy of circuit with the (row, gate) cells written into one column.
+
+    Each cell must lie on the grid and hold an identity gate.  Cells are
+    checked as they come, so rows that run off the grid stop at the first one.
+    """
+    if not 1 <= column <= circuit.n_columns:
+        raise ValueError(f"column {column} out of range 1..{circuit.n_columns}")
+    grid = [list(row) for row in circuit.grid]
+    for r, g in cells:
         if not 1 <= r <= circuit.n_qubits:
             raise ValueError(f"row {r} out of range 1..{circuit.n_qubits}")
+        occupied = grid[r - 1][column - 1]
+        if occupied is not Gate.IDENTITY:
+            raise PlacementConflict(
+                f"column {column}, row {r} already holds {occupied.token}"
+            )
+        grid[r - 1][column - 1] = g
+    return Circuit(circuit.n_qubits, circuit.n_columns, tuple(map(tuple, grid)))
 
 
 def place_toffoli(circuit: Circuit, column: int, controls: Iterable[int], target: int) -> Circuit:
@@ -220,53 +239,29 @@ def place_toffoli(circuit: Circuit, column: int, controls: Iterable[int], target
     ctrl = sorted(set(controls))
     if not ctrl:
         raise ValueError("at least one control row is required")
-    if not 1 <= column <= circuit.n_columns:
-        raise ValueError(f"column {column} out of range 1..{circuit.n_columns}")
-    _check_rows_in_range(circuit, [*ctrl, target])
     if target in ctrl:
         raise ValueError(f"target row {target} is also a control")
     if target > ctrl[-1]:
-        descending = True
-        source = ctrl[0]
-        lo, hi = ctrl[0], target
+        descending, source = True, ctrl[0]
     elif target < ctrl[0]:
-        descending = False
-        source = ctrl[-1]
-        lo, hi = target, ctrl[-1]
+        descending, source = False, ctrl[-1]
     else:
         raise PlacementUnsupported(
             f"target row {target} lies between controls {ctrl}; "
             "a single-column chain must be monotone"
         )
-    cells: dict[int, Gate] = {}
-    ctrl_set = set(ctrl)
-    for r in range(lo, hi + 1):
-        if r == source:
-            cells[r] = Gate.EMIT_DOWN if descending else Gate.EMIT_UP
-        elif r == target:
-            cells[r] = Gate.ADD_DOWN if descending else Gate.ADD_UP
-        elif r in ctrl_set:
-            cells[r] = Gate.MUL_DOWN if descending else Gate.MUL_UP
-        else:
-            cells[r] = Gate.CROSS
-    for r in cells:
-        occupied = circuit.gate_at(r, column)
-        if occupied is not Gate.IDENTITY:
-            raise PlacementConflict(
-                f"column {column}, row {r} already holds {occupied.token}"
-            )
-    return circuit.with_cells(column, cells)
+    emit, mul, add = _CHAIN_GATES[descending]
+    ends = {source: emit, target: add}
+    lo, hi = sorted(ends)
+    cells = (
+        (r, ends.get(r, mul if r in ctrl else Gate.CROSS)) for r in range(lo, hi + 1)
+    )
+    return _place(circuit, column, cells)
 
 
 def place_hadamard(circuit: Circuit, column: int, row: int) -> Circuit:
     """Place an H cell on an identity cell."""
-    if not 1 <= column <= circuit.n_columns:
-        raise ValueError(f"column {column} out of range 1..{circuit.n_columns}")
-    _check_rows_in_range(circuit, [row])
-    occupied = circuit.gate_at(row, column)
-    if occupied is not Gate.IDENTITY:
-        raise PlacementConflict(f"column {column}, row {row} already holds {occupied.token}")
-    return circuit.with_cells(column, {row: Gate.HADAMARD})
+    return _place(circuit, column, [(row, Gate.HADAMARD)])
 
 
 def _parse_header(line_no: int, tokens: list[str], keyword: str) -> int:
@@ -361,14 +356,9 @@ def random_circuit(
             if kind == "chain":
                 length = rng.randint(2, room)
                 descending = rng.random() < 0.5
-                interior = [
-                    rng.choice([Gate.CROSS, Gate.MUL_DOWN if descending else Gate.MUL_UP])
-                    for _ in range(length - 2)
-                ]
-                if descending:
-                    col += [Gate.EMIT_DOWN, *interior, Gate.ADD_DOWN]
-                else:
-                    col += [Gate.ADD_UP, *interior, Gate.EMIT_UP]
+                emit, mul, add = _CHAIN_GATES[descending]
+                interior = [rng.choice([Gate.CROSS, mul]) for _ in range(length - 2)]
+                col += [emit, *interior, add] if descending else [add, *interior, emit]
             elif kind == "H":
                 col.append(Gate.HADAMARD)
                 h_left -= 1

@@ -49,19 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", "check a circuit file and print 'ok'")
     add("compile", "print the row polynomials and phase")
 
-    count = add("count", "print path counts N0/N1 for one (a, b)")
-    count.add_argument("--a", required=True, help="input bits a1..aN, big-endian")
-    count.add_argument("--b", required=True, help="output bits b1..bN, big-endian")
-    count.add_argument("--method", choices=["brute", "gb"], default="brute")
-
-    elem = add("element", "print the exact amplitude <b|U|a>")
-    elem.add_argument("--a", required=True)
-    elem.add_argument("--b", required=True)
-    elem.add_argument("--method", choices=["brute", "gb"], default="brute")
+    methods = [m.value for m in Method]
+    for verb, help_text in (
+        ("count", "print path counts N0/N1 for one (a, b)"),
+        ("element", "print the exact amplitude <b|U|a>"),
+    ):
+        p = add(verb, help_text)
+        p.add_argument("--a", required=True, help="input bits a1..aN, big-endian")
+        p.add_argument("--b", required=True, help="output bits b1..bN, big-endian")
+        p.add_argument("--method", choices=methods, default=Method.BRUTE.value)
 
     matrix = add("matrix", "print the full circuit matrix")
     matrix.add_argument("--json", action="store_true", help="machine-readable output")
-    matrix.add_argument("--method", choices=["brute", "gb"], default="brute")
+    matrix.add_argument("--method", choices=methods, default=Method.BRUTE.value)
 
     gb = add("gb", "print reduced Groebner bases of F0 and F1")
     gb.add_argument("--bind", default=None, help="bindings like a=010,b=110 (either optional)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .circuit import Circuit, Gate, column_chains
+from .circuit import Circuit
 from .errors import CapExceeded
 from .gf2poly import Poly, VarUniverse, input_var, output_var, path_var
 
@@ -49,10 +49,9 @@ def column_states(circuit: Circuit) -> Iterator[tuple[tuple[Poly, ...], Poly]]:
     state = [Poly.variable(universe, input_var(i)) for i in range(1, circuit.n_qubits + 1)]
     phase = Poly.zero(universe)
     next_path = 1
-    for c in range(1, circuit.n_columns + 1):
-        column = circuit.column(c)
+    for c, (chains, hadamards) in enumerate(circuit.steps, 1):
         new_state = list(state)
-        for chain in column_chains(column, column_index=c):
+        for chain in chains:
             signal = state[chain.controls[0] - 1]
             for r in chain.controls[1:]:
                 factor = state[r - 1]
@@ -64,12 +63,11 @@ def column_states(circuit: Circuit) -> Iterator[tuple[tuple[Poly, ...], Poly]]:
                     )
                 signal = signal * factor
             new_state[chain.target - 1] = state[chain.target - 1] + signal
-        for r in range(1, circuit.n_qubits + 1):
-            if column[r - 1] is Gate.HADAMARD:
-                x = Poly.variable(universe, path_var(next_path))
-                next_path += 1
-                phase = phase + state[r - 1] * x
-                new_state[r - 1] = x
+        for r in hadamards:
+            x = Poly.variable(universe, path_var(next_path))
+            next_path += 1
+            phase = phase + state[r - 1] * x
+            new_state[r - 1] = x
         state = new_state
         yield tuple(state), phase
 

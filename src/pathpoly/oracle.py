@@ -7,8 +7,10 @@ its add row) and a Hadamard on every H row; the factors act on disjoint
 qubits, so they are applied to the accumulating product in any order.
 Basis states are indexed big-endian: qubit 1 is the most significant bit.
 
-This construction shares nothing with the sum-over-paths pipeline beyond the
-Amplitude ring, which makes exact agreement of the two a meaningful check.
+This construction shares only two things with the sum-over-paths pipeline:
+the Amplitude ring, and the column decomposition (Circuit.steps) that both
+read.  It never forms a polynomial, which makes exact agreement of the two a
+meaningful check of the compiler and the counting back ends.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .amplitudes import AMP_ONE, AMP_ZERO, Amplitude
-from .circuit import Circuit, Gate, column_chains
+from .circuit import Circuit, Gate
 from .errors import CapExceeded
 
 ORACLE_QUBIT_CAP = 10
@@ -79,20 +81,34 @@ class ExactMatrix:
         return len(set(one_positions)) == self.dim
 
 
-def _apply_column(rows: list[list[Amplitude]], column: Sequence[Gate], n: int) -> None:
-    """Left-multiply the accumulated matrix by one column's unitary, in place."""
-    dim = len(rows)
-    for chain in column_chains(column):
-        cmask = 0
-        for r in chain.controls:
-            cmask |= 1 << (n - r)
-        tmask = 1 << (n - chain.target)
-        for i in range(dim):
-            if i & cmask == cmask and not i & tmask:
-                j = i | tmask
-                rows[i], rows[j] = rows[j], rows[i]
-    for r in range(1, n + 1):
-        if column[r - 1] is Gate.HADAMARD:
+def column_unitary(column: Sequence[Gate], n: int) -> ExactMatrix:
+    """The 2^n x 2^n unitary of a single column of n gates."""
+    return circuit_unitary(Circuit(n, 1, tuple((g,) for g in column)))
+
+
+def circuit_unitary(circuit: Circuit) -> ExactMatrix:
+    """The full circuit unitary U = U_M ... U_1 (column 1 applied first).
+
+    Each column left-multiplies the accumulated rows in place.
+    """
+    n = circuit.n_qubits
+    if n > ORACLE_QUBIT_CAP:
+        raise CapExceeded(
+            f"dense unitary over {n} qubits exceeds the cap of {ORACLE_QUBIT_CAP}"
+        )
+    dim = 1 << n
+    rows = [list(row) for row in ExactMatrix.identity(dim).entries]
+    for chains, hadamards in circuit.steps:
+        for chain in chains:
+            cmask = 0
+            for r in chain.controls:
+                cmask |= 1 << (n - r)
+            tmask = 1 << (n - chain.target)
+            for i in range(dim):
+                if i & cmask == cmask and not i & tmask:
+                    j = i | tmask
+                    rows[i], rows[j] = rows[j], rows[i]
+        for r in hadamards:
             bit = 1 << (n - r)
             for i in range(dim):
                 if not i & bit:
@@ -100,24 +116,4 @@ def _apply_column(rows: list[list[Amplitude]], column: Sequence[Gate], n: int) -
                     top, bottom = rows[i], rows[j]
                     rows[i] = [(p + q) * _HALF_SQRT2 for p, q in zip(top, bottom)]
                     rows[j] = [(p - q) * _HALF_SQRT2 for p, q in zip(top, bottom)]
-
-
-def column_unitary(column: Sequence[Gate], n: int) -> ExactMatrix:
-    """The 2^n x 2^n unitary of a single validated column."""
-    rows = [list(row) for row in ExactMatrix.identity(1 << n).entries]
-    _apply_column(rows, column, n)
-    return ExactMatrix(tuple(tuple(row) for row in rows))
-
-
-def circuit_unitary(circuit: Circuit) -> ExactMatrix:
-    """The full circuit unitary U = U_M ... U_1 (column 1 applied first)."""
-    if circuit.n_qubits > ORACLE_QUBIT_CAP:
-        raise CapExceeded(
-            f"dense unitary over {circuit.n_qubits} qubits exceeds the cap of "
-            f"{ORACLE_QUBIT_CAP}"
-        )
-    n = circuit.n_qubits
-    rows = [list(row) for row in ExactMatrix.identity(1 << n).entries]
-    for c in range(1, circuit.n_columns + 1):
-        _apply_column(rows, circuit.column(c), n)
     return ExactMatrix(tuple(tuple(row) for row in rows))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,12 @@ from pathpoly import (
     place_hadamard,
     place_toffoli,
     random_circuit,
-    validate_column,
 )
 from pathpoly import cli
 
 from conftest import DEMO_TEXT, circuits
+
+CIRCUITS = Path(__file__).parent.parent / "circuits"
 
 
 def col(tokens: str) -> list[Gate]:
@@ -34,7 +36,7 @@ def col(tokens: str) -> list[Gate]:
 
 def accepts(column: list[Gate]) -> bool:
     try:
-        validate_column(column)
+        column_chains(column)
     except BrokenChain:
         return False
     return True
@@ -86,12 +88,12 @@ def test_gate_from_token_rejects(bad):
 # column validation
 
 def test_validate_accepts_worked_toffoli_column():
-    validate_column(col("Iv Mv Av"))
+    column_chains(col("Iv Mv Av"))
 
 
 def test_validate_missing_source_at_top():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("Mv I I"))
+        column_chains(col("Mv I I"))
     assert e.value.row == 1
     assert e.value.reason == "missing-source"
     assert "column 1, row 1: missing-source" in str(e.value)
@@ -99,55 +101,50 @@ def test_validate_missing_source_at_top():
 
 def test_validate_blocked_by_identity():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("Iv I Av"))
+        column_chains(col("Iv I Av"))
     assert (e.value.row, e.value.reason) == (2, "blocked-by I")
 
 
 def test_validate_blocked_by_hadamard():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("Iv H Av"))
+        column_chains(col("Iv H Av"))
     assert e.value.reason == "blocked-by H"
 
 
 def test_validate_blocked_by_opposing_multiplier():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("Iv M^ Av"))
+        column_chains(col("Iv M^ Av"))
     assert e.value.reason == "blocked-by M^"
 
 
 def test_validate_dangling_emitter_at_boundary():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("I I Iv"))
+        column_chains(col("I I Iv"))
     assert (e.value.row, e.value.reason) == (3, "dangling-emitter")
 
 
 def test_validate_missing_sink():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("Iv I+ I+"))
+        column_chains(col("Iv I+ I+"))
     assert (e.value.row, e.value.reason) == (3, "missing-sink")
 
 
 def test_validate_missing_source_for_ascending():
     with pytest.raises(BrokenChain) as e:
-        validate_column(col("I^ A^"))
+        column_chains(col("I^ A^"))
     assert e.value.reason == "missing-source"
 
 
 def test_validate_accepts_multi_control_chain():
-    validate_column(col("Iv Mv Mv Av"))
+    column_chains(col("Iv Mv Mv Av"))
 
 
 def test_validate_accepts_stacked_disjoint_chains():
-    validate_column(col("Iv Av A^ I^"))
+    column_chains(col("Iv Av A^ I^"))
 
 
 def test_validate_accepts_bare_crossing():
-    validate_column(col("I+ I+"))
-
-
-def test_validate_checks_length():
-    with pytest.raises(ValueError):
-        validate_column(col("I I"), n=3)
+    column_chains(col("I+ I+"))
 
 
 def test_column_chains_reports_controls_and_target():
@@ -211,6 +208,14 @@ def test_place_toffoli_rejects_bad_rows(controls, target):
         place_toffoli(Circuit.empty(4, 1), 1, controls, target)
 
 
+@pytest.mark.parametrize("column", [0, 3])
+def test_placement_rejects_column_out_of_range(column):
+    with pytest.raises(ValueError, match=f"column {column} out of range 1..2"):
+        place_toffoli(Circuit.empty(3, 2), column, {1}, 3)
+    with pytest.raises(ValueError, match=f"column {column} out of range 1..2"):
+        place_hadamard(Circuit.empty(3, 2), column, 1)
+
+
 def test_place_hadamard_and_conflict():
     c = place_hadamard(Circuit.empty(2, 2), 2, 1)
     assert c.gate_at(1, 2) is Gate.HADAMARD
@@ -231,7 +236,6 @@ def test_placed_toffoli_always_validates(data):
     else:
         target, controls = chosen[-1], chosen[:-1]
     c = place_toffoli(Circuit.empty(n, 1), 1, controls, target)
-    validate_column(c.column(1))
     chains = column_chains(c.column(1))
     assert len(chains) == 1
     assert chains[0].target == target
@@ -314,6 +318,21 @@ def test_parse_propagates_validation_errors():
         parse_circuit("qubits 2\ncolumns 1\nIv\nI\n")
 
 
+def test_broken_chain_reports_its_column():
+    with pytest.raises(BrokenChain) as e:
+        parse_circuit("qubits 3\ncolumns 4\nH Iv Iv I\nI Mv H I\nI Av Av H\n")
+    assert (e.value.column, e.value.row, e.value.reason) == (3, 2, "blocked-by H")
+    assert "column 3, row 2: blocked-by H" in str(e.value)
+
+
+def test_steps_hold_each_columns_chains_and_hadamard_rows():
+    c = parse_circuit(DEMO_TEXT)
+    assert [hadamards for _, hadamards in c.steps] == [(1, 2), (), (1, 3), ()]
+    assert [chains for chains, _ in c.steps] == [
+        column_chains(c.column(k), k) for k in range(1, c.n_columns + 1)
+    ]
+
+
 def test_format_demo_is_parseable_and_aligned():
     c = parse_circuit(DEMO_TEXT)
     text = format_circuit(c)
@@ -342,8 +361,29 @@ def test_random_circuit_respects_bounds(seed):
     assert c.h <= 10
 
 
+@pytest.mark.parametrize(
+    "path, seed, draw, bounds",
+    [("golden_n8.qc", 21, 11, (8, 60, 12)), ("blowup_n10.qc", 1, 22, (10, 320, 60))],
+)
+def test_recorded_circuits_are_their_random_draws(path, seed, draw, bounds):
+    rng = random.Random(seed)
+    for _ in range(draw):
+        c = random_circuit(rng, *bounds)
+    assert parse_circuit((CIRCUITS / path).read_text(encoding="utf-8")) == c
+
+
 def test_circuit_shape_validation():
     with pytest.raises(ValueError):
         Circuit(2, 1, ((Gate.IDENTITY,),))
     with pytest.raises(ValueError):
+        Circuit(1, 2, ((Gate.IDENTITY,),))
+    with pytest.raises(ValueError):
         Circuit(0, 0, ())
+
+
+def test_circuit_rejects_cells_that_are_not_gates():
+    # a CNOT written as token strings, not Gate members
+    with pytest.raises(ValueError, match="column 1, row 1: 'Iv' is not a Gate"):
+        Circuit(2, 1, (("Iv",), ("Av",)))
+    with pytest.raises(ValueError, match="column 2, row 1: 'H' is not a Gate"):
+        Circuit(1, 2, ((Gate.HADAMARD, "H"),))
