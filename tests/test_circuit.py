@@ -147,6 +147,14 @@ def test_validate_accepts_bare_crossing():
     column_chains(col("I+ I+"))
 
 
+def test_validate_checks_length():
+    # a two-cell column in a three-qubit circuit, and a ragged row
+    with pytest.raises(ValueError, match="grid shape"):
+        Circuit(3, 1, tuple((g,) for g in col("I I")))
+    with pytest.raises(ValueError, match="grid shape"):
+        Circuit(2, 2, ((Gate.IDENTITY, Gate.IDENTITY), (Gate.IDENTITY,)))
+
+
 def test_column_chains_reports_controls_and_target():
     chains = column_chains(col("Iv Mv Av A^ M^ I^"))
     assert len(chains) == 2
