@@ -9,8 +9,9 @@ variable that one of them fixes linearly and substitutes it away; on the
 residual system it takes N0 + N1 from the reduced basis of the rows, and N0
 from that basis extended by the phase, i.e. from F0; F1 is never built.
 Brute force counts the unreduced system, so the two stay independent.
-Amplitudes live in the subring of Z[1/sqrt(2)] of values m * sqrt(2)^(-e);
-all arithmetic is exact and no floating point appears anywhere.
+An Amplitude is a value m * sqrt(2)^(-e) of Z[1/sqrt(2)], built once from a
+count difference and kept normalized to compare and render; nothing adds or
+multiplies amplitudes, and no floating point appears anywhere.
 """
 from __future__ import annotations
 
@@ -60,39 +61,6 @@ class Amplitude:
                 e -= 2
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "e", e)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.m == 0
-
-    def __add__(self, other: "Amplitude") -> "Amplitude":
-        if not isinstance(other, Amplitude):
-            return NotImplemented
-        if self.m == 0:
-            return other
-        if other.m == 0:
-            return self
-        if (self.e - other.e) % 2:
-            raise ValueError(
-                f"cannot add {self} and {other}: sqrt(2) scales of different parity"
-            )
-        e = max(self.e, other.e)
-        return Amplitude(
-            (self.m << ((e - self.e) // 2)) + (other.m << ((e - other.e) // 2)), e
-        )
-
-    def __neg__(self) -> "Amplitude":
-        return Amplitude(-self.m, self.e)
-
-    def __sub__(self, other: "Amplitude") -> "Amplitude":
-        if not isinstance(other, Amplitude):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "Amplitude") -> "Amplitude":
-        if not isinstance(other, Amplitude):
-            return NotImplemented
-        return Amplitude(self.m * other.m, self.e + other.e)
 
     def render(self) -> str:
         """Canonical text: 0, m, m/2^j, m/sqrt2, or m/(2^j*sqrt2)."""
@@ -189,15 +157,6 @@ def count_bruteforce(
     return _brute_pair(*tables, parse_bits(b, ps.n, "b"))
 
 
-def _toggle_constant(masks: tuple[int, ...], bit: int) -> tuple[int, ...]:
-    """XOR a constant 0/1 into a mask polynomial (constant monomial has mask 0)."""
-    if not bit:
-        return masks
-    if masks and masks[-1] == 0:
-        return masks[:-1]
-    return (*masks, 0)
-
-
 def _substitute(p: set[int], v: int, g: set[int]) -> None:
     """Replace the one-bit monomial v by the polynomial g in p, in place.
 
@@ -210,7 +169,7 @@ def _substitute(p: set[int], v: int, g: set[int]) -> None:
 
 
 def _solve_linear(
-    rows: Sequence[tuple[int, ...]], phase: tuple[int, ...], h: int
+    polys: list[set[int]], phase: tuple[int, ...], h: int
 ) -> "tuple[list[set[int]], set[int], int] | None":
     """Solve the rows for every path variable that one of them fixes.
 
@@ -221,9 +180,8 @@ def _solve_linear(
     extends to exactly one root of the input rows, with the same phase, so
     both counts survive.  Pivots are the first solvable row and its highest
     solvable v.  Returns (residual rows, phase, free mask), or None when a
-    row is the constant 1 and nothing is a root.
+    row is the constant 1 and nothing is a root.  It consumes the row sets.
     """
-    polys = [set(r) for r in rows]
     phi = set(phase)
     free = (1 << h) - 1
     while True:
@@ -264,9 +222,8 @@ def _gb_pair(
     that occurs nowhere is a free leaf of the count, a factor 2.
     """
     _check_root_count_cap(h)
-    solved = _solve_linear(
-        [_toggle_constant(masks, bit) for masks, bit in zip(rows, bbits)], phase, h
-    )
+    bound = [set(masks) ^ {0} if bit else set(masks) for masks, bit in zip(rows, bbits)]
+    solved = _solve_linear(bound, phase, h)
     if solved is None:
         return CountPair(0, 0)
     f, phi, free = solved

@@ -196,15 +196,23 @@ class Circuit:
 
     def column(self, c: int) -> tuple[Gate, ...]:
         """Gates of 1-based column c, top to bottom."""
-        return tuple(self.grid[r][c - 1] for r in range(self.n_qubits))
+        c = _index("column", c, self.n_columns)
+        return tuple(row[c] for row in self.grid)
 
     def gate_at(self, row: int, column: int) -> Gate:
-        return self.grid[row - 1][column - 1]
+        return self.column(column)[_index("row", row, self.n_qubits)]
 
     @property
     def h(self) -> int:
         """Number of Hadamard cells."""
         return sum(len(hadamards) for _, hadamards in self.steps)
+
+
+def _index(kind: str, i: int, size: int) -> int:
+    """The 0-based index of a 1-based row or column i; ValueError off the grid."""
+    if not 1 <= i <= size:
+        raise ValueError(f"{kind} {i} out of range 1..{size}")
+    return i - 1
 
 
 def _place(circuit: Circuit, column: int, cells: Iterable[tuple[int, Gate]]) -> Circuit:
@@ -213,18 +221,13 @@ def _place(circuit: Circuit, column: int, cells: Iterable[tuple[int, Gate]]) -> 
     Each cell must lie on the grid and hold an identity gate.  Cells are
     checked as they come, so rows that run off the grid stop at the first one.
     """
-    if not 1 <= column <= circuit.n_columns:
-        raise ValueError(f"column {column} out of range 1..{circuit.n_columns}")
+    c = _index("column", column, circuit.n_columns)
     grid = [list(row) for row in circuit.grid]
     for r, g in cells:
-        if not 1 <= r <= circuit.n_qubits:
-            raise ValueError(f"row {r} out of range 1..{circuit.n_qubits}")
-        occupied = grid[r - 1][column - 1]
-        if occupied is not Gate.IDENTITY:
-            raise PlacementConflict(
-                f"column {column}, row {r} already holds {occupied.token}"
-            )
-        grid[r - 1][column - 1] = g
+        row = grid[_index("row", r, circuit.n_qubits)]
+        if row[c] is not Gate.IDENTITY:
+            raise PlacementConflict(f"column {column}, row {r} already holds {row[c].token}")
+        row[c] = g
     return Circuit(circuit.n_qubits, circuit.n_columns, tuple(map(tuple, grid)))
 
 

@@ -1,40 +1,57 @@
-"""Independent reference unitaries, built densely over Z[1/sqrt(2)].
+"""Independent reference unitaries, built densely in integers.
 
-The circuit unitary is the product of per-column unitaries, column 1 applied
-first.  Each column factors into a multi-controlled-X permutation per
-vertical chain (controls = the chain's source and multiply rows, target =
-its add row) and a Hadamard on every H row; the factors act on disjoint
-qubits, so they are applied to the accumulating product in any order.
+Each H cell scales a Hadamard/Toffoli circuit's unitary by 1/sqrt(2), so
+U = M / sqrt(2)^h with M an integer matrix: the product of per-column
+factors, column 1 applied first.  A column factors into a multi-controlled-X
+permutation per vertical chain (controls = the chain's source and multiply
+rows, target = its add row) and an unscaled Hadamard [[1, 1], [1, -1]] on
+every H row; the factors act on disjoint qubits, so their order is free.
 Basis states are indexed big-endian: qubit 1 is the most significant bit.
 
-This construction shares only two things with the sum-over-paths pipeline:
-the Amplitude ring, and the column decomposition (Circuit.steps) that both
-read.  It never forms a polynomial, which makes exact agreement of the two a
-meaningful check of the compiler and the counting back ends.
+This construction shares only the column decomposition (Circuit.steps) with
+the sum-over-paths pipeline, and hands out its entries as Amplitudes
+(report_rows).  It never forms a polynomial, which makes exact agreement of
+the two a meaningful check of the compiler and the counting back ends.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .amplitudes import AMP_ONE, AMP_ZERO, Amplitude
+from .amplitudes import Amplitude
 from .circuit import Circuit, Gate
 from .errors import CapExceeded
 
 ORACLE_QUBIT_CAP = 10
 
-_HALF_SQRT2 = Amplitude(1, 1)
-
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """A square matrix of Amplitudes; entries[i][j] = <i|U|j>."""
+    """A square matrix entries / sqrt(2)^e; entries[i][j] / sqrt(2)^e = <i|U|j>.
 
-    entries: tuple[tuple[Amplitude, ...], ...]
+    Normalized as Amplitude is: while e >= 2 and every entry is even, all
+    entries are halved and e drops by 2; the zero matrix has e = 0.  So
+    equality of normalized matrices is exact equality over Z[1/sqrt(2)].
+    """
+
+    entries: tuple[tuple[int, ...], ...]
+    e: int = 0
 
     def __post_init__(self) -> None:
-        if any(len(row) != len(self.entries) for row in self.entries):
+        entries, e = self.entries, self.e
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("matrix must be square")
+        if e < 0:
+            raise ValueError("exponent e must be nonnegative")
+        bits = 0
+        for row in entries:
+            for m in row:
+                bits |= m
+        k = min((bits & -bits).bit_length() - 1, e // 2) if bits else 0
+        if k:
+            entries = tuple(tuple(m >> k for m in row) for row in entries)
+            object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "e", e - 2 * k if bits else 0)
 
     @property
     def dim(self) -> int:
@@ -42,12 +59,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
-        return cls(
-            tuple(
-                tuple(AMP_ONE if i == j else AMP_ZERO for j in range(dim))
-                for i in range(dim)
-            )
-        )
+        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
@@ -55,30 +67,22 @@ class ExactMatrix:
         cols = tuple(zip(*other.entries))
         return ExactMatrix(
             tuple(
-                tuple(
-                    sum((a * b for a, b in zip(row, col) if not a.is_zero), AMP_ZERO)
-                    for col in cols
-                )
+                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.entries
-            )
+            ),
+            self.e + other.e,
         )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries)))
+        return ExactMatrix(tuple(zip(*self.entries)), self.e)
 
     def report_rows(self) -> tuple[tuple[Amplitude, ...], ...]:
         """Entries reindexed as (row a, column b) = <b|U|a>, the report layout."""
-        return self.transpose().entries
+        return tuple(tuple(Amplitude(m, self.e) for m in col) for col in zip(*self.entries))
 
     def is_permutation(self) -> bool:
-        """True when every row and column is a 0/1 unit vector."""
-        one_positions = []
-        for row in self.entries:
-            ones = [j for j, amp in enumerate(row) if amp == AMP_ONE]
-            if len(ones) != 1 or any(not a.is_zero for a in row if a != AMP_ONE):
-                return False
-            one_positions.append(ones[0])
-        return len(set(one_positions)) == self.dim
+        """True when e == 0 and the rows are those of the identity, reordered."""
+        return self.e == 0 and sorted(self.entries) == sorted(self.identity(self.dim).entries)
 
 
 def column_unitary(column: Sequence[Gate], n: int) -> ExactMatrix:
@@ -89,7 +93,8 @@ def column_unitary(column: Sequence[Gate], n: int) -> ExactMatrix:
 def circuit_unitary(circuit: Circuit) -> ExactMatrix:
     """The full circuit unitary U = U_M ... U_1 (column 1 applied first).
 
-    Each column left-multiplies the accumulated rows in place.
+    Each column left-multiplies the accumulated integer rows in place; the
+    scale sqrt(2)^(-h) is attached once, at the end.
     """
     n = circuit.n_qubits
     if n > ORACLE_QUBIT_CAP:
@@ -114,6 +119,6 @@ def circuit_unitary(circuit: Circuit) -> ExactMatrix:
                 if not i & bit:
                     j = i | bit
                     top, bottom = rows[i], rows[j]
-                    rows[i] = [(p + q) * _HALF_SQRT2 for p, q in zip(top, bottom)]
-                    rows[j] = [(p - q) * _HALF_SQRT2 for p, q in zip(top, bottom)]
-    return ExactMatrix(tuple(tuple(row) for row in rows))
+                    rows[i] = [p + q for p, q in zip(top, bottom)]
+                    rows[j] = [p - q for p, q in zip(top, bottom)]
+    return ExactMatrix(tuple(map(tuple, rows)), circuit.h)

@@ -10,9 +10,8 @@ import random
 import time
 
 from pathpoly import (
-    AMP_ONE,
-    AMP_ZERO,
     Circuit,
+    ExactMatrix,
     Gate,
     Method,
     Poly,
@@ -79,12 +78,10 @@ def test_criterion_2_worked_example_matrix():
     matrix = full_matrix(circuit)
     rendered = [[str(x) for x in row] for row in matrix]
     assert rendered == DEMO_MATRIX
-    for i, row in enumerate(matrix):
-        for j, other in enumerate(matrix):
-            dot = AMP_ZERO
-            for x, y in zip(row, other):
-                dot = dot + x * y
-            assert dot == (AMP_ONE if i == j else AMP_ZERO)
+    # the rows are the columns of U, and U^T U = 1 makes them orthonormal
+    u = circuit_unitary(circuit)
+    assert u.report_rows() == matrix
+    assert u.transpose() @ u == ExactMatrix.identity(u.dim)
     report(2, "worked-example matrix, unit-norm orthogonal rows", t0, 1.0)
 
 
@@ -149,7 +146,8 @@ def test_criterion_6_structural_invariants():
         product = u.transpose() @ u
         for i in range(u.dim):
             for j in range(u.dim):
-                assert product.entries[i][j] == (AMP_ONE if i == j else AMP_ZERO)
+                assert product.entries[i][j] == int(i == j)
+        assert product.e == 0
         stripped = Circuit(
             c.n_qubits,
             c.n_columns,
@@ -164,7 +162,7 @@ def test_criterion_6_structural_invariants():
         c = parse_circuit(text)
         u = circuit_unitary(c)
         assert u.is_permutation()
-        assert all(u.entries[i][i] == AMP_ONE for i in range(u.dim))
+        assert all(u.entries[i][i] == 1 for i in range(u.dim))
         assert full_matrix(c) == u.report_rows()
     report(6, "conservation, exact unitarity, permutations, H-H cancellation", t0, None)
 

@@ -1,4 +1,4 @@
-"""Exact amplitudes: counting, the amplitude ring, matrix assembly."""
+"""Exact amplitudes: normal form, counting, matrix assembly."""
 from __future__ import annotations
 
 import json
@@ -15,6 +15,7 @@ from pathpoly import (
     CapExceeded,
     Circuit,
     CountPair,
+    ExactMatrix,
     Method,
     Poly,
     VarUniverse,
@@ -38,15 +39,7 @@ from pathpoly.amplitudes import _truth_table_patterns
 from conftest import DEMO_MATRIX, brute_root_count, circuits
 
 
-def amplitudes(parity: int | None = None) -> st.SearchStrategy[Amplitude]:
-    if parity is None:
-        exponent = st.integers(0, 8)
-    else:
-        exponent = st.integers(0, 4).map(lambda k: 2 * k + parity)
-    return st.builds(Amplitude, st.integers(-50, 50), exponent)
-
-
-# the amplitude ring
+# amplitude normal form
 
 def test_normalization():
     assert Amplitude(2, 4) == Amplitude(1, 2)
@@ -80,47 +73,9 @@ def test_render(m, e, text):
     assert str(Amplitude(m, e)) == text
 
 
-def test_add_requires_matching_parity():
-    with pytest.raises(ValueError):
-        Amplitude(1, 1) + Amplitude(1, 2)
-
-
-def test_add_with_zero_ignores_parity():
-    assert AMP_ZERO + Amplitude(1, 1) == Amplitude(1, 1)
-    assert Amplitude(1, 2) + AMP_ZERO == Amplitude(1, 2)
-
-
-def test_add_rescales_to_common_exponent():
-    assert Amplitude(1, 0) + Amplitude(1, 2) == Amplitude(3, 2)
-    assert Amplitude(1, 1) + Amplitude(1, 3) == Amplitude(3, 3)
-
-
-def test_mul_and_sub():
-    assert Amplitude(1, 1) * Amplitude(1, 1) == Amplitude(1, 2)
-    assert Amplitude(3, 2) * Amplitude(-1, 1) == Amplitude(-3, 3)
-    assert Amplitude(1, 0) - Amplitude(1, 2) == Amplitude(1, 2)
-    assert -Amplitude(1, 1) == Amplitude(-1, 1)
-
-
 @given(st.integers(-50, 50), st.integers(0, 6))
 def test_normalization_is_scale_invariant(m, e):
     assert Amplitude(2 * m, e + 2) == Amplitude(m, e)
-
-
-@settings(max_examples=80)
-@given(st.integers(0, 1), st.data())
-def test_amplitude_ring_laws(parity, data):
-    a = data.draw(amplitudes(parity))
-    b = data.draw(amplitudes(parity))
-    c = data.draw(amplitudes(parity))
-    d = data.draw(amplitudes())
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a - a == AMP_ZERO
-    assert d * (a + b) == d * a + d * b
-    assert (d * a) * b == d * (a * b)
-    assert d * AMP_ONE == d
-    assert d * AMP_ZERO == AMP_ZERO
 
 
 def test_count_pair_rejects_negative():
@@ -210,7 +165,7 @@ def test_full_matrix_identity_circuit():
 def test_full_matrix_single_hadamard():
     matrix = full_matrix(parse_circuit("qubits 1\ncolumns 1\nH\n"))
     r = Amplitude(1, 1)
-    assert matrix == ((r, r), (r, -r))
+    assert matrix == ((r, r), (r, Amplitude(-1, 1)))
 
 
 def test_full_matrix_demo(demo_circuit):
@@ -225,11 +180,10 @@ def test_full_matrix_qubit_cap():
 
 
 def test_full_matrix_rows_have_unit_norm(demo_circuit):
-    for row in full_matrix(demo_circuit):
-        total = AMP_ZERO
-        for x in row:
-            total = total + x * x
-        assert total == AMP_ONE
+    # the rows are the columns of U, and U^T U = 1 makes them orthonormal
+    u = circuit_unitary(demo_circuit)
+    assert u.report_rows() == full_matrix(demo_circuit)
+    assert u.transpose() @ u == ExactMatrix.identity(u.dim)
 
 
 @settings(max_examples=25, deadline=None)

@@ -224,6 +224,18 @@ def test_placement_rejects_column_out_of_range(column):
         place_hadamard(Circuit.empty(3, 2), column, 1)
 
 
+@pytest.mark.parametrize("row, column", [(0, 0), (-1, -1), (4, 5)])
+def test_grid_lookups_reject_indices_off_the_grid(row, column):
+    # 1-based on a 3 x 4 grid: 0 and -1 must not wrap round to the far end
+    c = parse_circuit(DEMO_TEXT)
+    with pytest.raises(ValueError, match=f"column {column} out of range 1..4"):
+        c.column(column)
+    with pytest.raises(ValueError, match=f"column {column} out of range 1..4"):
+        c.gate_at(1, column)
+    with pytest.raises(ValueError, match=f"row {row} out of range 1..3"):
+        c.gate_at(row, 1)
+
+
 def test_place_hadamard_and_conflict():
     c = place_hadamard(Circuit.empty(2, 2), 2, 1)
     assert c.gate_at(1, 2) is Gate.HADAMARD

@@ -1,17 +1,18 @@
 """Dense exact unitary: the independent reference for the path pipeline."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from pathpoly import (
-    AMP_ONE,
-    AMP_ZERO,
     Amplitude,
     CapExceeded,
     Circuit,
     ExactMatrix,
     Gate,
+    Method,
     circuit_unitary,
     column_unitary,
     full_matrix,
@@ -20,6 +21,8 @@ from pathpoly import (
 )
 
 from conftest import circuits
+
+CIRCUITS = Path(__file__).parent.parent / "circuits"
 
 
 def col(tokens: str) -> list[Gate]:
@@ -31,22 +34,30 @@ def test_toffoli_column_swaps_basis_states():
     for i in range(8):
         for j in range(8):
             if {i, j} == {6, 7}:
-                assert u.entries[i][j] == AMP_ONE
+                assert u.entries[i][j] == 1
             elif i == j and i not in (6, 7):
-                assert u.entries[i][j] == AMP_ONE
+                assert u.entries[i][j] == 1
             else:
-                assert u.entries[i][j] == AMP_ZERO
+                assert u.entries[i][j] == 0
+    assert u.e == 0
 
 
 def test_hadamard_column_is_h_tensor_identity():
     u = column_unitary(col("H I"), 2)
-    r = Amplitude(1, 1)
-    assert u.entries == (
-        (r, AMP_ZERO, r, AMP_ZERO),
-        (AMP_ZERO, r, AMP_ZERO, r),
-        (r, AMP_ZERO, -r, AMP_ZERO),
-        (AMP_ZERO, r, AMP_ZERO, -r),
-    )
+    assert u == ExactMatrix(((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, -1, 0), (0, 1, 0, -1)), 1)
+
+
+def test_normalization_halves_even_entries():
+    assert ExactMatrix(((2, 0), (0, 2)), 2) == ExactMatrix.identity(2)
+    assert ExactMatrix(((2, 0), (0, -2)), 3) == ExactMatrix(((1, 0), (0, -1)), 1)
+    # an odd entry, or e < 2, stops the halving
+    assert ExactMatrix(((2, 1), (0, 2)), 2).entries == ((2, 1), (0, 2))
+    assert ExactMatrix(((2, 0), (0, 2)), 1).entries == ((2, 0), (0, 2))
+
+
+def test_zero_matrix_has_exponent_zero():
+    assert ExactMatrix(((0, 0), (0, 0)), 5).e == 0
+    assert ExactMatrix(((0, 0), (0, 0)), 5) == ExactMatrix(((0, 0), (0, 0)))
 
 
 def test_identity_column():
@@ -59,7 +70,7 @@ def test_ascending_chain_targets_top_row():
     assert u.is_permutation()
     expected = {0: 0, 1: 3, 2: 2, 3: 1}
     for src, dst in expected.items():
-        assert u.entries[dst][src] == AMP_ONE
+        assert u.entries[dst][src] == 1
 
 
 def test_double_hadamard_cancels():
@@ -77,6 +88,9 @@ def test_toffoli_only_circuit_is_permutation():
 def test_hadamard_is_not_permutation():
     u = column_unitary(col("H"), 1)
     assert not u.is_permutation()
+    # a sign or a repeated row breaks it too
+    assert not ExactMatrix(((1, 0), (0, -1))).is_permutation()
+    assert not ExactMatrix(((1, 0), (1, 0))).is_permutation()
 
 
 def test_columns_compose_left_to_right():
@@ -90,12 +104,20 @@ def test_demo_circuit_matches_path_pipeline(demo_circuit):
     assert u.report_rows() == full_matrix(demo_circuit)
 
 
+def test_golden_n8_matches_brute_matrix():
+    # all 256 x 256 entries of an n = 8, h = 11 circuit
+    c = parse_circuit((CIRCUITS / "golden_n8.qc").read_text(encoding="utf-8"))
+    assert full_matrix(c, Method.BRUTE) == circuit_unitary(c).report_rows()
+
+
 def test_report_rows_is_transpose():
-    u = column_unitary(col("A^ I^"), 2)
+    # H on qubit 1, then a CNOT onto it: not symmetric, scale sqrt(2)^(-1)
+    u = circuit_unitary(parse_circuit("qubits 2\ncolumns 2\nH A^\nI I^\n"))
+    assert u.transpose() != u
     rows = u.report_rows()
     for a in range(4):
         for b in range(4):
-            assert rows[a][b] == u.entries[b][a]
+            assert rows[a][b] == Amplitude(u.entries[b][a], 1)
 
 
 def test_column_squares_to_identity():
