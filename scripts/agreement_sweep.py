@@ -20,8 +20,10 @@ from collections import Counter
 from pathpoly import (
     ExactMatrix,
     Method,
+    bit_label,
     circuit_unitary,
     compile_circuit,
+    count_groebner,
     full_matrix,
     random_circuit,
     row_counts,
@@ -64,11 +66,13 @@ def main() -> int:
 
     conserved = counts_agree = unitary = 0
     for circuit, u in zip(circuits, oracle):
+        n = circuit.n_qubits
         ps = compile_circuit(circuit)
-        a = "0" * circuit.n_qubits
-        pairs = row_counts(ps, a)
+        a = "0" * n
+        pairs = row_counts(circuit, a)
         conserved += sum(p.n0 + p.n1 for p in pairs) == 1 << circuit.h
-        counts_agree += row_counts(ps, a, Method.GB) == pairs
+        gb = tuple(count_groebner(ps, a, bit_label(b, n)) for b in range(1 << n))
+        counts_agree += gb == pairs
         unitary += (u.transpose() @ u) == ExactMatrix.identity(u.dim)
     print(f"path conservation holds: {conserved} / {len(circuits)}")
     print(f"GB counts = brute counts: {counts_agree} / {len(circuits)}")

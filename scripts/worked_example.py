@@ -48,7 +48,7 @@ def main() -> int:
 
     print("\nsample path counts (a=000):")
     for b in ("000", "001", "100"):
-        pair = count_paths(ps, "000", b, method=Method.GB)
+        pair = count_paths(circuit, "000", b, method=Method.GB)
         print(f"  b={b}: N0={pair.n0}, N1={pair.n1}")
 
     brute = full_matrix(circuit, Method.BRUTE)

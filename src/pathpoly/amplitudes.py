@@ -2,13 +2,13 @@
 
 N0 and N1 count the path-variable assignments x that reach output b from
 input a with phase 0 and 1 respectively.  Counting is available two ways,
-each with one kernel: brute force over all 2^h assignments, as 2^h-bit truth
-tables of the bound row and phase polynomials, and Groebner-based root
-counting.  The Groebner path first solves the bound rows for every path
-variable that one of them fixes linearly and substitutes it away; on the
-residual system it takes N0 + N1 from the reduced basis of the rows, and N0
-from that basis extended by the phase, i.e. from F0; F1 is never built.
-Brute force counts the unreduced system, so the two stay independent.
+each with one kernel.  Brute force never compiles: it walks Circuit.steps on
+2^h-bit truth tables, so it checks the compiled system independently and the
+compile cap does not bind it.  Groebner-based root counting first solves the
+compiled, bound rows for every path variable that one of them fixes linearly
+and substitutes it away; on the residual system it takes N0 + N1 from the
+reduced basis of the rows, and N0 from that basis extended by the phase,
+i.e. from F0; F1 is never built.
 An Amplitude is a value m * sqrt(2)^(-e) of Z[1/sqrt(2)], built once from a
 count difference and kept normalized to compare and render; nothing adds or
 multiplies amplitudes, and no floating point appears anywhere.
@@ -23,7 +23,7 @@ from typing import Sequence
 from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
-from .gf2poly import Poly, _mul_mono, input_var
+from .gf2poly import _mul_mono, input_var
 from .groebner import _check_root_count_cap, _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
@@ -119,23 +119,37 @@ def _bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def _brute_tables(
-    ps: PolySystem, a: "str | Sequence[int]"
-) -> tuple[list[int], int, int]:
-    """Bind a and tabulate every row and the phase over all 2^h assignments.
+def _brute_tables(circuit: Circuit, abits: Sequence[int]) -> tuple[list[int], int, int]:
+    """Simulate all 2^h paths at once by walking the columns on truth tables.
 
-    Returns the row truth tables, the phase truth table and the all-ones
-    table; bit sigma of a table is the polynomial's value at assignment sigma.
+    Bit sigma of a table is a row's (or the phase's) value on the path with
+    assignment sigma, x_k on bit h-k.  A chain XORs the AND of its controls
+    into its target, and the k-th H cell adds row*x_k to the phase and sets
+    its row to x_k.  The cells of a column hold distinct rows, so updating in
+    place reads the column's input state.  Returns the row tables, the phase
+    table and the all-ones table.
     """
-    if ps.h > BRUTE_HADAMARD_CAP:
+    h = circuit.h
+    if h > BRUTE_HADAMARD_CAP:
         raise CapExceeded(
-            f"brute force over 2^{ps.h} assignments exceeds cap 2^{BRUTE_HADAMARD_CAP}"
+            f"brute force over 2^{h} assignments exceeds cap 2^{BRUTE_HADAMARD_CAP}"
         )
-    rows, phase = _bound_x_masks(ps, parse_bits(a, ps.n, "a"))
-    width = 1 << ps.h
-    patterns = _truth_table_patterns(ps.h)
-    row_tables = [_truth_table(masks, patterns, width) for masks in rows]
-    return row_tables, _truth_table(phase, patterns, width), (1 << width) - 1
+    full = (1 << (1 << h)) - 1
+    patterns = _truth_table_patterns(h)
+    rows = [full if bit else 0 for bit in abits]
+    phase = 0
+    k = h
+    for chains, hadamards in circuit.steps:
+        for chain in chains:
+            signal = full
+            for r in chain.controls:
+                signal &= rows[r - 1]
+            rows[chain.target - 1] ^= signal
+        for r in hadamards:
+            k -= 1
+            phase ^= rows[r - 1] & patterns[k]
+            rows[r - 1] = patterns[k]
+    return rows, phase, full
 
 
 def _brute_pair(
@@ -150,11 +164,12 @@ def _brute_pair(
 
 
 def count_bruteforce(
-    ps: PolySystem, a: "str | Sequence[int]", b: "str | Sequence[int]"
+    circuit: Circuit, a: "str | Sequence[int]", b: "str | Sequence[int]"
 ) -> CountPair:
-    """Enumerate all 2^h path assignments as truth tables and look up b."""
-    tables = _brute_tables(ps, a)
-    return _brute_pair(*tables, parse_bits(b, ps.n, "b"))
+    """Simulate all 2^h paths from a as truth tables and look up b."""
+    abits = parse_bits(a, circuit.n_qubits, "a")
+    bbits = parse_bits(b, circuit.n_qubits, "b")
+    return _brute_pair(*_brute_tables(circuit, abits), bbits)
 
 
 def _substitute(p: set[int], v: int, g: set[int]) -> None:
@@ -250,15 +265,15 @@ def count_groebner(
 
 
 def count_paths(
-    ps: PolySystem,
+    circuit: Circuit,
     a: "str | Sequence[int]",
     b: "str | Sequence[int]",
     method: Method = Method.BRUTE,
 ) -> CountPair:
-    """Count paths by the chosen method."""
+    """Count paths by the chosen method; only the Groebner method compiles."""
     if method is Method.BRUTE:
-        return count_bruteforce(ps, a, b)
-    return count_groebner(ps, a, b)
+        return count_bruteforce(circuit, a, b)
+    return count_groebner(compile_circuit(circuit), a, b)
 
 
 def element(
@@ -268,9 +283,8 @@ def element(
     method: Method = Method.BRUTE,
 ) -> Amplitude:
     """The exact matrix element <b|U|a> = (N0 - N1) * sqrt(2)^(-h)."""
-    ps = compile_circuit(circuit)
-    pair = count_paths(ps, a, b, method=method)
-    return Amplitude(pair.n0 - pair.n1, ps.h)
+    pair = count_paths(circuit, a, b, method=method)
+    return Amplitude(pair.n0 - pair.n1, circuit.h)
 
 
 def _truth_table_patterns(h: int) -> list[int]:
@@ -288,54 +302,37 @@ def _truth_table_patterns(h: int) -> list[int]:
     return patterns
 
 
-def _truth_table(masks: Sequence[int], patterns: list[int], width: int) -> int:
-    full = (1 << width) - 1
-    table = 0
-    for m in masks:
-        indicator = full
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            indicator &= patterns[low.bit_length() - 1]
-        table ^= indicator
-    return table
+def row_counts(circuit: Circuit, a: "str | Sequence[int]") -> tuple[CountPair, ...]:
+    """Brute-force CountPairs for all 2^N outputs b (ascending big-endian).
 
-
-def row_counts(
-    ps: PolySystem,
-    a: "str | Sequence[int]",
-    method: Method = Method.BRUTE,
-) -> tuple[CountPair, ...]:
-    """CountPairs for all 2^N outputs b (ascending big-endian), fixed input a.
-
-    The brute path builds the truth tables once, as count_bruteforce does,
-    and each b is an AND of matched row tables; the GB path, for every b,
-    solves the bound rows for their linearly fixed variables, computes the
-    basis of the residual rows and extends it by the substituted phase.
+    The truth tables are built once, as count_bruteforce does, and each b
+    is an AND of matched row tables.
     """
-    outputs = range(1 << ps.n)
-    if method is Method.GB:
-        rows, phase = _bound_x_masks(ps, parse_bits(a, ps.n, "a"))
-        return tuple(_gb_pair(rows, phase, _bits(b, ps.n), ps.h) for b in outputs)
-    tables = _brute_tables(ps, a)
-    return tuple(_brute_pair(*tables, _bits(b, ps.n)) for b in outputs)
+    n = circuit.n_qubits
+    tables = _brute_tables(circuit, parse_bits(a, n, "a"))
+    return tuple(_brute_pair(*tables, _bits(b, n)) for b in range(1 << n))
+
+
+def _gb_row_counts(ps: PolySystem, abits: Sequence[int]) -> tuple[CountPair, ...]:
+    """Groebner CountPairs for all 2^N outputs b, binding a once."""
+    rows, phase = _bound_x_masks(ps, abits)
+    return tuple(_gb_pair(rows, phase, _bits(b, ps.n), ps.h) for b in range(1 << ps.n))
 
 
 def full_matrix(
     circuit: Circuit, method: Method = Method.BRUTE
 ) -> tuple[tuple[Amplitude, ...], ...]:
     """The 2^N x 2^N matrix of <b|U|a>: rows indexed by a, columns by b."""
-    if circuit.n_qubits > MATRIX_QUBIT_CAP:
-        raise CapExceeded(
-            f"matrix over {circuit.n_qubits} qubits exceeds the cap of {MATRIX_QUBIT_CAP}"
-        )
-    ps = compile_circuit(circuit)
-    matrix = []
-    for aidx in range(1 << ps.n):
-        pairs = row_counts(ps, _bits(aidx, ps.n), method=method)
-        matrix.append(tuple(Amplitude(p.n0 - p.n1, ps.h) for p in pairs))
-    return tuple(matrix)
+    n, h = circuit.n_qubits, circuit.h
+    if n > MATRIX_QUBIT_CAP:
+        raise CapExceeded(f"matrix over {n} qubits exceeds the cap of {MATRIX_QUBIT_CAP}")
+    inputs = (_bits(a, n) for a in range(1 << n))
+    if method is Method.GB:
+        ps = compile_circuit(circuit)
+        rows = (_gb_row_counts(ps, abits) for abits in inputs)
+    else:
+        rows = (row_counts(circuit, abits) for abits in inputs)
+    return tuple(tuple(Amplitude(p.n0 - p.n1, h) for p in pairs) for pairs in rows)
 
 
 def bit_label(index: int, n: int) -> str:

@@ -135,8 +135,7 @@ def _run(args: argparse.Namespace) -> None:
             print(f"b{i} = {p}")
         print(f"phi = {ps.phase}")
     elif args.verb == "count":
-        ps = compile_circuit(circuit)
-        pair = count_paths(ps, args.a, args.b, method=Method(args.method))
+        pair = count_paths(circuit, args.a, args.b, method=Method(args.method))
         print(f"N0={pair.n0}, N1={pair.n1}")
     elif args.verb == "element":
         print(element(circuit, args.a, args.b, method=Method(args.method)).render())

@@ -87,7 +87,8 @@ def test_criterion_2_worked_example_matrix():
 
 def test_criterion_3_groebner_reproduction():
     t0 = time.perf_counter()
-    ps = compile_circuit(parse_circuit(DEMO_TEXT))
+    circuit = parse_circuit(DEMO_TEXT)
+    ps = compile_circuit(circuit)
     f0, f1 = assemble_systems(ps)
     G0 = buchberger(f0)
     G1 = buchberger(f1)
@@ -104,7 +105,7 @@ def test_criterion_3_groebner_reproduction():
         for b in range(8):
             abits, bbits = bit_label(a, 3), bit_label(b, 3)
             bound0, bound1 = assemble_systems(ps, abits, bbits)
-            brute = count_bruteforce(ps, abits, bbits)
+            brute = count_bruteforce(circuit, abits, bbits)
             assert count_roots(buchberger(bound0), paths) == brute.n0
             assert count_roots(buchberger(bound1), paths) == brute.n1
     report(3, "symbolic bases reproduce known generators; 64 bound counts", t0, 5.0)
@@ -112,14 +113,15 @@ def test_criterion_3_groebner_reproduction():
 
 def test_criterion_4_count_conditions():
     t0 = time.perf_counter()
-    ps = compile_circuit(parse_circuit(DEMO_TEXT))
+    circuit = parse_circuit(DEMO_TEXT)
+    ps = compile_circuit(circuit)
     for bits in itertools.product((0, 1), repeat=6):
         a, b = bits[:3], bits[3:]
         c1 = a[0] ^ b[0]
         c2 = (a[1] & b[1]) ^ (a[2] & b[2])
         expected = (2, 0) if (c1, c2) == (0, 0) else (0, 2) if (c1, c2) == (0, 1) else (1, 1)
-        for counter in (count_bruteforce, count_groebner):
-            pair = counter(ps, a, b)
+        for counter, source in ((count_bruteforce, circuit), (count_groebner, ps)):
+            pair = counter(source, a, b)
             assert (pair.n0, pair.n1) == expected, (a, b, counter.__name__)
     report(4, "root counts follow the parity/product conditions on all 64 bindings", t0, None)
 
@@ -138,10 +140,9 @@ def test_criterion_6_structural_invariants():
     t0 = time.perf_counter()
     suite = random_suite(200)
     for c in suite:
-        ps = compile_circuit(c)
-        for a in range(1 << ps.n):
-            counts = row_counts(ps, bit_label(a, ps.n), Method.BRUTE)
-            assert sum(p.n0 + p.n1 for p in counts) == 1 << ps.h
+        for a in range(1 << c.n_qubits):
+            counts = row_counts(c, bit_label(a, c.n_qubits))
+            assert sum(p.n0 + p.n1 for p in counts) == 1 << c.h
         u = circuit_unitary(c)
         product = u.transpose() @ u
         for i in range(u.dim):

@@ -85,23 +85,23 @@ def test_count_pair_rejects_negative():
 
 # counting
 
-def test_count_bruteforce_demo_rows(demo_system):
-    assert count_bruteforce(demo_system, "000", "000") == CountPair(2, 0)
-    assert count_bruteforce(demo_system, "000", "100") == CountPair(1, 1)
+def test_count_bruteforce_demo_rows(demo_circuit):
+    assert count_bruteforce(demo_circuit, "000", "000") == CountPair(2, 0)
+    assert count_bruteforce(demo_circuit, "000", "100") == CountPair(1, 1)
 
 
 def test_count_bruteforce_double_hadamard():
-    ps = compile_circuit(parse_circuit("qubits 1\ncolumns 2\nH H\n"))
-    assert count_bruteforce(ps, "0", "1") == CountPair(1, 1)
-    assert count_bruteforce(ps, "0", "0") == CountPair(2, 0)
+    c = parse_circuit("qubits 1\ncolumns 2\nH H\n")
+    assert count_bruteforce(c, "0", "1") == CountPair(1, 1)
+    assert count_bruteforce(c, "0", "0") == CountPair(2, 0)
 
 
 def test_count_bruteforce_cap():
-    ps = compile_circuit(parse_circuit("qubits 5\ncolumns 5\n" + "H H H H H\n" * 5))
+    c = parse_circuit("qubits 5\ncolumns 5\n" + "H H H H H\n" * 5)
     with pytest.raises(CapExceeded):
-        count_bruteforce(ps, "00000", "00000")
+        count_bruteforce(c, "00000", "00000")
     with pytest.raises(CapExceeded):
-        count_groebner(ps, "00000", "00000")
+        count_groebner(compile_circuit(c), "00000", "00000")
 
 
 def test_count_groebner_demo_rows(demo_system):
@@ -117,14 +117,14 @@ def test_count_groebner_inconsistent_system():
 def test_count_groebner_returns_early_when_a_row_becomes_one(monkeypatch):
     # rows x1 and x1 + a2: with b = 10, solving x1 + 1 sets x1 := 1, which
     # turns x1 + 0 into the constant 1 before any basis is computed
-    ps = compile_circuit(parse_circuit("qubits 2\ncolumns 2\nH Iv\nI Av\n"))
-    assert count_bruteforce(ps, "00", "10") == CountPair(0, 0)
+    c = parse_circuit("qubits 2\ncolumns 2\nH Iv\nI Av\n")
+    assert count_bruteforce(c, "00", "10") == CountPair(0, 0)
 
     def no_basis(*args):
         raise AssertionError("_gb_masks called")
 
     monkeypatch.setattr("pathpoly.amplitudes._gb_masks", no_basis)
-    assert count_groebner(ps, "00", "10") == CountPair(0, 0)
+    assert count_groebner(compile_circuit(c), "00", "10") == CountPair(0, 0)
 
 
 def test_count_groebner_without_hadamards():
@@ -135,9 +135,9 @@ def test_count_groebner_without_hadamards():
     assert count_groebner(ps, "10", "10") == CountPair(0, 0)
 
 
-def test_count_paths_dispatch(demo_system):
-    assert count_paths(demo_system, "000", "000", Method.BRUTE) == CountPair(2, 0)
-    assert count_paths(demo_system, "000", "000", Method.GB) == CountPair(2, 0)
+def test_count_paths_dispatch(demo_circuit):
+    assert count_paths(demo_circuit, "000", "000", Method.BRUTE) == CountPair(2, 0)
+    assert count_paths(demo_circuit, "000", "000", Method.GB) == CountPair(2, 0)
 
 
 # matrix elements
@@ -201,11 +201,10 @@ def test_methods_agree_on_random_elements(c, data):
 def test_row_counts_match_per_entry_counts(c, a_index):
     ps = compile_circuit(c)
     a = bit_label(a_index % (1 << ps.n), ps.n)
-    brute = row_counts(ps, a, Method.BRUTE)
-    gb = row_counts(ps, a, Method.GB)
-    singles = [count_bruteforce(ps, a, bit_label(b, ps.n)) for b in range(1 << ps.n)]
-    assert list(brute) == singles
-    assert list(gb) == singles
+    outputs = [bit_label(b, ps.n) for b in range(1 << ps.n)]
+    singles = [count_bruteforce(c, a, b) for b in outputs]
+    assert list(row_counts(c, a)) == singles
+    assert [count_groebner(ps, a, b) for b in outputs] == singles
 
 
 def test_truth_table_patterns_match_their_definition():
@@ -220,8 +219,9 @@ def test_truth_table_patterns_match_their_definition():
 
 @settings(max_examples=25, deadline=None)
 @given(circuits(max_qubits=3, max_columns=4, max_h=8), st.data())
-def test_count_bruteforce_matches_point_evaluation(c, data):
-    # the truth-table kernel against one evaluation per path of the bound F0/F1
+def test_compiled_system_matches_bruteforce_at_every_point(c, data):
+    # the compiler's bound F0/F1, evaluated once per path, against the
+    # brute-force walk over the circuit, which never compiles
     ps = compile_circuit(c)
     a = bit_label(data.draw(st.integers(0, (1 << ps.n) - 1)), ps.n)
     b = bit_label(data.draw(st.integers(0, (1 << ps.n) - 1)), ps.n)
@@ -230,7 +230,7 @@ def test_count_bruteforce_matches_point_evaluation(c, data):
         [Poly.parse(str(p), paths) for p in system] for system in assemble_systems(ps, a, b)
     )
     expected = CountPair(brute_root_count(f0, paths), brute_root_count(f1, paths))
-    assert count_bruteforce(ps, a, b) == expected
+    assert count_bruteforce(c, a, b) == expected
 
 
 def test_gb_row_counts_match_brute_at_larger_h():
@@ -245,7 +245,38 @@ def test_gb_row_counts_match_brute_at_larger_h():
     for c in kept:
         ps = compile_circuit(c)
         a = bit_label(rng.randrange(1 << ps.n), ps.n)
-        assert row_counts(ps, a, Method.GB) == row_counts(ps, a, Method.BRUTE)
+        gb = tuple(count_groebner(ps, a, bit_label(b, ps.n)) for b in range(1 << ps.n))
+        assert gb == row_counts(c, a)
+
+
+def test_brute_force_never_compiles(demo_circuit, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the brute-force path reached the compiled system")
+
+    monkeypatch.setattr("pathpoly.amplitudes.compile_circuit", refuse)
+    monkeypatch.setattr("pathpoly.amplitudes._bound_x_masks", refuse)
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    assert str(element(demo_circuit, "111", "101", Method.BRUTE)) == "-1/2"
+    matrix = full_matrix(demo_circuit, Method.BRUTE)
+    assert [[str(x) for x in row] for row in matrix] == DEMO_MATRIX
+
+
+def test_mirrored_circuits_are_the_identity_past_the_oracle_cap():
+    # every column is its own inverse, so C followed by its columns in
+    # reverse order has <b|U|a> = [a = b], at any n
+    rng = random.Random(16)
+    kept = []
+    while len(kept) < 10:
+        c = random_circuit(rng, 14, 8, 10)
+        if c.n_qubits >= 11:
+            kept.append(c)
+    for c in kept:
+        mirror = Circuit(c.n_qubits, 2 * c.n_columns, tuple(row + row[::-1] for row in c.grid))
+        a = [rng.randint(0, 1) for _ in range(c.n_qubits)]
+        b = list(a)
+        b[rng.randrange(c.n_qubits)] ^= 1
+        assert element(mirror, a, a) == AMP_ONE
+        assert element(mirror, a, b) == AMP_ZERO
 
 
 def _h_toffoli_h(rng: random.Random) -> Circuit:

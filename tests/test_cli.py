@@ -14,7 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathpoly import CircuitError, Gate, cli, format_circuit, parse_circuit, random_circuit
+from pathpoly import (
+    Amplitude,
+    CapExceeded,
+    CircuitError,
+    Gate,
+    circuit_unitary,
+    cli,
+    compile_circuit,
+    format_circuit,
+    parse_circuit,
+    random_circuit,
+    row_counts,
+)
 from pathpoly.cli import main
 
 from conftest import DEMO_TEXT
@@ -24,6 +36,7 @@ CIRCUITS = Path(__file__).parent.parent / "circuits"
 DEMO_PATH = str(CIRCUITS / "demo_n3.qc")
 GOLDEN_N8_PATH = str(CIRCUITS / "golden_n8.qc")
 BLOWUP_PATH = str(CIRCUITS / "blowup_n10.qc")
+REFUSED_PATH = str(CIRCUITS / "compile_refused_n8.qc")
 
 COMPILE_OUTPUT = """\
 b1 = x2*x4 + x3
@@ -179,6 +192,23 @@ def test_compile_cap_names_the_column(capsys):
     code, out, err = run(capsys, "compile", BLOWUP_PATH)
     assert (code, out) == (2, "")
     assert err.startswith("error: column 40:")
+
+
+def test_compile_refused_circuit_gets_a_brute_force_answer(capsys):
+    # brute force walks the circuit itself, so the compile cap does not bind it
+    c = parse_circuit(Path(REFUSED_PATH).read_text(encoding="utf-8"))
+    with pytest.raises(CapExceeded, match="column 77"):
+        compile_circuit(c)
+    oracle = circuit_unitary(c).report_rows()
+    for a in ("00000000", "10110010"):
+        brute = tuple(Amplitude(p.n0 - p.n1, c.h) for p in row_counts(c, a))
+        assert brute == oracle[int(a, 2)]
+    query = ("element", REFUSED_PATH, "--a", "10110010", "--b", "00011101")
+    code, out, _ = run(capsys, *query, "--method", "brute")
+    assert (code, out) == (0, oracle[0b10110010][0b00011101].render() + "\n")
+    code, out, err = run(capsys, *query, "--method", "gb")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column 77:")
 
 
 def test_exit_code_validation_errors(capsys, demo_path):

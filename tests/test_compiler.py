@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from pathpoly import (
     Circuit,
     Gate,
-    Method,
     Poly,
     assemble_systems,
+    bit_label,
     column_states,
     compile_circuit,
+    count_groebner,
     input_var,
     parse_bits,
     parse_circuit,
-    row_counts,
 )
 
 from conftest import DEMO_PHASE, DEMO_ROW_POLYS, circuits
@@ -162,7 +162,8 @@ def test_hadamard_free_circuits_are_bijections(c):
 @settings(max_examples=30, deadline=None)
 @given(circuits(max_qubits=3, max_columns=4, max_h=8), st.integers(0, 7))
 def test_path_count_conservation(c, a_index):
+    # every path of the compiled system ends in exactly one output b
     ps = compile_circuit(c)
     a = [(a_index >> i) & 1 for i in range(ps.n)]
-    counts = row_counts(ps, a, Method.BRUTE)
+    counts = [count_groebner(ps, a, bit_label(b, ps.n)) for b in range(1 << ps.n)]
     assert sum(pair.n0 + pair.n1 for pair in counts) == 1 << ps.h
