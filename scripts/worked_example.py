@@ -43,7 +43,7 @@ def main() -> int:
     f0, f1 = assemble_systems(ps)
     for label, system in (("G0", f0), ("G1", f1)):
         print(f"\nreduced Groebner basis {label} (lex, path variables above a and b):")
-        for g in buchberger(system).generators:
+        for g in buchberger(system):
             print(f"  {g}")
 
     print("\nsample path counts (a=000):")

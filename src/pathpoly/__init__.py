@@ -7,13 +7,12 @@ counting polynomial roots, either brute force or via Boolean Groebner bases,
 and are cross-checked against an independent exact dense unitary.
 """
 from .amplitudes import (
-    AMP_ONE,
-    AMP_ZERO,
     Amplitude,
     BRUTE_HADAMARD_CAP,
     CountPair,
     MATRIX_QUBIT_CAP,
     Method,
+    ROOT_COUNT_VARIABLE_CAP,
     bit_label,
     count_bruteforce,
     count_groebner,
@@ -59,22 +58,16 @@ from .gf2poly import (
     path_var,
 )
 from .groebner import (
-    GroebnerBasis,
-    ROOT_COUNT_VARIABLE_CAP,
     buchberger,
-    count_roots,
-    ideal_equal,
     is_groebner_basis,
     normal_form,
     s_polynomial,
 )
-from .oracle import ExactMatrix, circuit_unitary, column_unitary
+from .oracle import ExactMatrix, circuit_unitary
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMP_ONE",
-    "AMP_ZERO",
     "Amplitude",
     "BRUTE_HADAMARD_CAP",
     "BrokenChain",
@@ -87,7 +80,6 @@ __all__ = [
     "CountPair",
     "ExactMatrix",
     "Gate",
-    "GroebnerBasis",
     "MATRIX_QUBIT_CAP",
     "Method",
     "PlacementConflict",
@@ -104,16 +96,13 @@ __all__ = [
     "circuit_unitary",
     "column_chains",
     "column_states",
-    "column_unitary",
     "compile_circuit",
     "count_bruteforce",
     "count_groebner",
     "count_paths",
-    "count_roots",
     "element",
     "format_circuit",
     "full_matrix",
-    "ideal_equal",
     "input_var",
     "is_groebner_basis",
     "normal_form",

@@ -24,10 +24,11 @@ from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
 from .gf2poly import _mul_mono, input_var
-from .groebner import _check_root_count_cap, _count_standard, _gb_masks
+from .groebner import _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
 MATRIX_QUBIT_CAP = 10
+ROOT_COUNT_VARIABLE_CAP = 20
 
 
 class Method(Enum):
@@ -77,10 +78,6 @@ class Amplitude:
 
     def __str__(self) -> str:
         return self.render()
-
-
-AMP_ZERO = Amplitude(0)
-AMP_ONE = Amplitude(1)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,10 @@ def _gb_pair(
     substituted phase to count N0; N1 is the difference.  A free variable
     that occurs nowhere is a free leaf of the count, a factor 2.
     """
-    _check_root_count_cap(h)
+    if h > ROOT_COUNT_VARIABLE_CAP:
+        raise CapExceeded(
+            f"root counting over {h} variables exceeds the cap of {ROOT_COUNT_VARIABLE_CAP}"
+        )
     bound = [set(masks) ^ {0} if bit else set(masks) for masks, bit in zip(rows, bbits)]
     solved = _solve_linear(bound, phase, h)
     if solved is None:

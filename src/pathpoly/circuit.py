@@ -34,17 +34,6 @@ class Gate(Enum):
     ADD_UP = "A^"
     HADAMARD = "H"
 
-    @property
-    def token(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_token(cls, token: str) -> "Gate":
-        try:
-            return cls(token)
-        except ValueError:
-            raise ValueError(f"unknown gate token {token!r}") from None
-
 
 class CircuitError(Exception):
     """Base class for circuit construction and validation failures."""
@@ -120,7 +109,7 @@ def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[
         g = column[r - 1]
         if g is source_gate:
             if source is not None:
-                raise BrokenChain(column_index, r, f"blocked-by {g.token}")
+                raise BrokenChain(column_index, r, f"blocked-by {g.value}")
             source = r
             muls = []
         elif g is mul_gate:
@@ -137,7 +126,7 @@ def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[
         elif g is Gate.CROSS:
             pass
         elif source is not None:
-            raise BrokenChain(column_index, r, f"blocked-by {g.token}")
+            raise BrokenChain(column_index, r, f"blocked-by {g.value}")
     if source is not None:
         reason = "dangling-emitter" if source == rows[-1] else "missing-sink"
         raise BrokenChain(column_index, rows[-1], reason)
@@ -226,7 +215,7 @@ def _place(circuit: Circuit, column: int, cells: Iterable[tuple[int, Gate]]) -> 
     for r, g in cells:
         row = grid[_index("row", r, circuit.n_qubits)]
         if row[c] is not Gate.IDENTITY:
-            raise PlacementConflict(f"column {column}, row {r} already holds {row[c].token}")
+            raise PlacementConflict(f"column {column}, row {r} already holds {row[c].value}")
         row[c] = g
     return Circuit(circuit.n_qubits, circuit.n_columns, tuple(map(tuple, grid)))
 
@@ -319,12 +308,12 @@ def parse_circuit(text: str) -> Circuit:
 def format_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format; parse(format(c)) == c."""
     widths = [
-        max(len(circuit.grid[r][c].token) for r in range(circuit.n_qubits))
+        max(len(circuit.grid[r][c].value) for r in range(circuit.n_qubits))
         for c in range(circuit.n_columns)
     ]
     lines = [f"qubits {circuit.n_qubits}", f"columns {circuit.n_columns}"]
     for row in circuit.grid:
-        lines.append("  ".join(g.token.ljust(w) for g, w in zip(row, widths)).rstrip())
+        lines.append("  ".join(g.value.ljust(w) for g, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
 

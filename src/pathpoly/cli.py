@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_circuit(path: str) -> Circuit:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
@@ -151,7 +151,7 @@ def _run(args: argparse.Namespace) -> None:
         f0, f1 = assemble_systems(ps, a=bind.get("a"), b=bind.get("b"))
         for label, system in (("G0", f0), ("G1", f1)):
             print(f"{label}:")
-            for g in buchberger(system).generators:
+            for g in buchberger(system):
                 print(g)
     elif args.verb == "export":
         print(export_system(compile_circuit(circuit), args.format), end="")

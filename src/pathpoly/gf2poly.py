@@ -227,10 +227,6 @@ class Poly:
         return not self._masks
 
     @property
-    def is_one(self) -> bool:
-        return self._masks == (0,)
-
-    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._masks:

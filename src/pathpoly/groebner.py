@@ -24,17 +24,19 @@ kernel this module shares with Poly).
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
 against brute-force root enumeration in the test suite.
+
+Roots are counted in one place, _count_standard over a basis's leading
+monomials, which amplitudes.count_groebner drives; that module also holds
+the root-count cap.  On Poly values, buchberger returns the reduced basis as
+a tuple (the gb verb prints it), and normal_form, s_polynomial and
+is_groebner_basis check Buchberger's criterion independently of the kernel.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded
-from .gf2poly import Poly, Variable, VarUniverse, _mul_mono
-
-ROOT_COUNT_VARIABLE_CAP = 20
+from .gf2poly import Poly, VarUniverse, _mul_mono
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +128,6 @@ def _gb_masks(
     return sorted(reduced, reverse=True)
 
 
-def _check_root_count_cap(n_vars: int) -> None:
-    """Refuse root counting over more than ROOT_COUNT_VARIABLE_CAP variables."""
-    if n_vars > ROOT_COUNT_VARIABLE_CAP:
-        raise CapExceeded(
-            f"root counting over {n_vars} variables exceeds the cap of "
-            f"{ROOT_COUNT_VARIABLE_CAP}"
-        )
-
-
 def _count_standard(lms: Sequence[int], var_mask: int) -> int:
     """Number of submasks of var_mask containing none of the lms as a submask.
 
@@ -171,24 +164,7 @@ def _minimal_antichain(lms: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# public API on Poly values
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced Groebner basis: generators sorted by leading monomial descending.
-
-    The term order is lex by the universe's precedence.
-    """
-
-    generators: tuple[Poly, ...]
-    universe: VarUniverse
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
+# Poly-level API: the gb verb's bases and the reference checks of the kernel
 
 def _require_universe(polys: Sequence[Poly]) -> VarUniverse:
     if not polys:
@@ -200,11 +176,10 @@ def _require_universe(polys: Sequence[Poly]) -> VarUniverse:
     return universe
 
 
-def normal_form(p: Poly, G: "GroebnerBasis | Iterable[Poly]") -> Poly:
+def normal_form(p: Poly, G: Sequence[Poly]) -> Poly:
     """Fully reduce p by G: no monomial of the result is divisible by any LM(g)."""
-    gens = tuple(G)
-    universe = _require_universe((p, *gens))
-    basis = [g.monomial_masks for g in gens if not g.is_zero]
+    universe = _require_universe((p, *G))
+    basis = [g.monomial_masks for g in G if not g.is_zero]
     return Poly(universe, _nf(p.monomial_masks, [b[0] for b in basis], basis))
 
 
@@ -218,64 +193,30 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return Poly(universe, _mul_mono(fm, lcm & ~fm[0]) ^ _mul_mono(gm, lcm & ~gm[0]))
 
 
-def buchberger(F: Iterable[Poly]) -> GroebnerBasis:
-    """Reduced Groebner basis of <F> + field equations inside the Boolean ring.
+def buchberger(F: Iterable[Poly]) -> tuple[Poly, ...]:
+    """Reduced Groebner basis of <F> + field equations inside the Boolean ring,
+    sorted descending by leading monomial (lex by the universe's precedence).
 
-    Deterministic for a fixed universe; an inconsistent system yields the
-    basis (1,).  F must hold at least one polynomial, which fixes the
+    A reduced basis is unique for a fixed order, so two bases are equal
+    exactly when their ideals are.  The zero ideal gives (), an inconsistent
+    system (1,).  F must hold at least one polynomial, which fixes the
     universe: pass [Poly.zero(U)] for the zero ideal over U.
     """
     polys = tuple(F)
     universe = _require_universe(polys)
-    basis_masks = _gb_masks([p.monomial_masks for p in polys if not p.is_zero], universe.size)
-    return GroebnerBasis(
-        generators=tuple(Poly(universe, masks) for masks in basis_masks), universe=universe
-    )
+    basis = _gb_masks([p.monomial_masks for p in polys if not p.is_zero], universe.size)
+    return tuple(Poly(universe, masks) for masks in basis)
 
 
-def is_groebner_basis(G: GroebnerBasis) -> bool:
+def is_groebner_basis(G: Sequence[Poly]) -> bool:
     """Check Buchberger's criterion: all S-polynomials (field pairs included)
     reduce to zero modulo G."""
-    gens = [g for g in G.generators if not g.is_zero]
+    gens = [g for g in G if not g.is_zero]
     for i, f in enumerate(gens):
         for g in gens[i + 1 :]:
             if not normal_form(s_polynomial(f, g), G).is_zero:
                 return False
         for v in f.leading_monomial().variables:
-            if not normal_form(f * Poly.variable(G.universe, v), G).is_zero:
+            if not normal_form(f * Poly.variable(f.universe, v), G).is_zero:
                 return False
     return True
-
-
-def ideal_equal(G1: GroebnerBasis, G2: "GroebnerBasis | Iterable[Poly]") -> bool:
-    """Mutual containment: each side's generators normal-form to 0 against the other."""
-    other = G2 if isinstance(G2, GroebnerBasis) else buchberger((Poly.zero(G1.universe), *G2))
-    return all(normal_form(g, other).is_zero for g in G1.generators) and all(
-        normal_form(g, G1).is_zero for g in other.generators
-    )
-
-
-def count_roots(G: GroebnerBasis, variables: Iterable[Variable]) -> int:
-    """Number of common roots over Z2 = number of standard monomials.
-
-    The basis must be fully bound: every generator's support must lie in the
-    given variables (parameters substituted beforehand).  Capped at
-    ROOT_COUNT_VARIABLE_CAP variables.
-    """
-    vs = tuple(dict.fromkeys(variables))
-    var_mask = G.universe.mask_of(vs)
-    _check_root_count_cap(len(vs))
-    lms = []
-    for g in G.generators:
-        if g.is_zero:
-            continue
-        support = 0
-        for m in g.monomial_masks:
-            support |= m
-        if support & ~var_mask:
-            stray = G.universe.variables_of(support & ~var_mask)[0]
-            raise ValueError(
-                f"generator {g} mentions {stray}, which is not a counting variable"
-            )
-        lms.append(g.monomial_masks[0])
-    return _count_standard(lms, var_mask)

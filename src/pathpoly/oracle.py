@@ -16,10 +16,9 @@ the two a meaningful check of the compiler and the counting back ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .amplitudes import Amplitude
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .errors import CapExceeded
 
 ORACLE_QUBIT_CAP = 10
@@ -83,11 +82,6 @@ class ExactMatrix:
     def is_permutation(self) -> bool:
         """True when e == 0 and the rows are those of the identity, reordered."""
         return self.e == 0 and sorted(self.entries) == sorted(self.identity(self.dim).entries)
-
-
-def column_unitary(column: Sequence[Gate], n: int) -> ExactMatrix:
-    """The 2^n x 2^n unitary of a single column of n gates."""
-    return circuit_unitary(Circuit(n, 1, tuple((g,) for g in column)))
 
 
 def circuit_unitary(circuit: Circuit) -> ExactMatrix:

@@ -16,6 +16,7 @@ from pathpoly import (
     parse_circuit,
     random_circuit,
 )
+from pathpoly.groebner import _count_standard
 
 DEMO_TEXT = """\
 qubits 3
@@ -58,6 +59,13 @@ def brute_root_count(polys, universe: VarUniverse) -> int:
         if all(p.evaluate(point) == 0 for p in polys):
             count += 1
     return count
+
+
+def basis_root_count(basis, universe: VarUniverse, variables=None) -> int:
+    """Common roots of a reduced basis over variables (default: the whole
+    universe), counted from its leading monomials as amplitudes._gb_pair does."""
+    var_mask = universe.mask_of(universe.variables if variables is None else variables)
+    return _count_standard([g.monomial_masks[0] for g in basis], var_mask)
 
 
 def path_universes(max_vars: int = 8) -> st.SearchStrategy[VarUniverse]:

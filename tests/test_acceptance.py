@@ -23,7 +23,6 @@ from pathpoly import (
     compile_circuit,
     count_bruteforce,
     count_groebner,
-    count_roots,
     format_circuit,
     full_matrix,
     is_groebner_basis,
@@ -35,7 +34,7 @@ from pathpoly import (
 )
 from pathpoly.cli import main
 
-from conftest import DEMO_MATRIX, DEMO_PHASE, DEMO_ROW_POLYS, DEMO_TEXT
+from conftest import DEMO_MATRIX, DEMO_PHASE, DEMO_ROW_POLYS, DEMO_TEXT, basis_root_count
 
 SUITE_SEED = 20250816
 UDEMO = VarUniverse.for_circuit(4, 3)
@@ -106,8 +105,8 @@ def test_criterion_3_groebner_reproduction():
             abits, bbits = bit_label(a, 3), bit_label(b, 3)
             bound0, bound1 = assemble_systems(ps, abits, bbits)
             brute = count_bruteforce(circuit, abits, bbits)
-            assert count_roots(buchberger(bound0), paths) == brute.n0
-            assert count_roots(buchberger(bound1), paths) == brute.n1
+            assert basis_root_count(buchberger(bound0), UDEMO, paths) == brute.n0
+            assert basis_root_count(buchberger(bound1), UDEMO, paths) == brute.n1
     report(3, "symbolic bases reproduce known generators; 64 bound counts", t0, 5.0)
 
 
@@ -188,7 +187,7 @@ def test_criterion_7_standalone_groebner_vs_brute():
             )
             for point in range(1 << v)
         )
-        assert count_roots(G, universe.variables) == brute
+        assert basis_root_count(G, universe) == brute
     report(7, "100 random systems: basis counts match 2^v enumeration", t0, 30.0)
 
 

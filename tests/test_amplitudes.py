@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathpoly import (
-    AMP_ONE,
-    AMP_ZERO,
     Amplitude,
     CapExceeded,
     Circuit,
@@ -44,9 +42,9 @@ from conftest import DEMO_MATRIX, brute_root_count, circuits
 def test_normalization():
     assert Amplitude(2, 4) == Amplitude(1, 2)
     assert Amplitude(4, 4) == Amplitude(1, 0)
-    assert Amplitude(0, 7) == AMP_ZERO
+    assert Amplitude(0, 7) == Amplitude(0)
     assert Amplitude(-6, 3) == Amplitude(-3, 1)
-    assert Amplitude(2, 2) == AMP_ONE
+    assert Amplitude(2, 2) == Amplitude(1)
 
 
 def test_negative_exponent_rejected():
@@ -159,7 +157,7 @@ def test_full_matrix_identity_circuit():
     matrix = full_matrix(Circuit.empty(2, 2))
     for i in range(4):
         for j in range(4):
-            assert matrix[i][j] == (AMP_ONE if i == j else AMP_ZERO)
+            assert matrix[i][j] == (Amplitude(1) if i == j else Amplitude(0))
 
 
 def test_full_matrix_single_hadamard():
@@ -275,8 +273,8 @@ def test_mirrored_circuits_are_the_identity_past_the_oracle_cap():
         a = [rng.randint(0, 1) for _ in range(c.n_qubits)]
         b = list(a)
         b[rng.randrange(c.n_qubits)] ^= 1
-        assert element(mirror, a, a) == AMP_ONE
-        assert element(mirror, a, b) == AMP_ZERO
+        assert element(mirror, a, a) == Amplitude(1)
+        assert element(mirror, a, b) == Amplitude(0)
 
 
 def _h_toffoli_h(rng: random.Random) -> Circuit:

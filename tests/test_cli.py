@@ -73,6 +73,13 @@ def test_validate_closes_the_circuit_file(capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_circuit_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.qc"
+    path.write_text("\ufeff" + DEMO_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "element", str(path), "--a", "000", "--b", "001")
+    assert (code, out, err) == (0, "1/2\n", "")
+
+
 def test_validate_reports_broken_chain(capsys, tmp_path):
     path = tmp_path / "broken.qc"
     path.write_text("qubits 2\ncolumns 1\nIv\nI+\n")
@@ -252,7 +259,7 @@ def test_exit_code_internal_error(capsys, demo_path, monkeypatch):
     assert err.startswith("internal error:")
 
 
-_GATE_TOKENS = tuple(g.token for g in Gate)
+_GATE_TOKENS = tuple(g.value for g in Gate)
 _SOUP_TOKENS = _GATE_TOKENS + (
     "qubits", "columns", "0", "1", "2", "3", "4", "9", "#", " ", "  ", "\t", "\n", "\n\n",
 )

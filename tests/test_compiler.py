@@ -99,7 +99,7 @@ def test_assemble_identity_circuit():
     ps = compile_circuit(Circuit.empty(3, 2))
     f0, f1 = assemble_systems(ps, a="010", b="010")
     assert all(p.is_zero for p in f0)
-    assert f1[-1].is_one
+    assert f1[-1] == Poly.one(ps.universe)
 
 
 def test_assemble_rejects_wrong_length(demo_system):

@@ -14,7 +14,7 @@ from pathpoly import (
     Gate,
     Method,
     circuit_unitary,
-    column_unitary,
+    element,
     full_matrix,
     parse_circuit,
     place_toffoli,
@@ -25,12 +25,14 @@ from conftest import circuits
 CIRCUITS = Path(__file__).parent.parent / "circuits"
 
 
-def col(tokens: str) -> list[Gate]:
-    return [Gate.from_token(t) for t in tokens.split()]
+def column_matrix(tokens: str) -> ExactMatrix:
+    """The unitary of a one-column circuit, its gates listed top to bottom."""
+    gates = tokens.split()
+    return circuit_unitary(Circuit(len(gates), 1, tuple((Gate(t),) for t in gates)))
 
 
 def test_toffoli_column_swaps_basis_states():
-    u = column_unitary(col("Iv Mv Av"), 3)
+    u = column_matrix("Iv Mv Av")
     for i in range(8):
         for j in range(8):
             if {i, j} == {6, 7}:
@@ -43,7 +45,7 @@ def test_toffoli_column_swaps_basis_states():
 
 
 def test_hadamard_column_is_h_tensor_identity():
-    u = column_unitary(col("H I"), 2)
+    u = column_matrix("H I")
     assert u == ExactMatrix(((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, -1, 0), (0, 1, 0, -1)), 1)
 
 
@@ -61,12 +63,12 @@ def test_zero_matrix_has_exponent_zero():
 
 
 def test_identity_column():
-    assert column_unitary(col("I I"), 2) == ExactMatrix.identity(4)
+    assert column_matrix("I I") == ExactMatrix.identity(4)
 
 
 def test_ascending_chain_targets_top_row():
     # CNOT with control on row 2, target on row 1: flips the MSB when LSB set
-    u = column_unitary(col("A^ I^"), 2)
+    u = column_matrix("A^ I^")
     assert u.is_permutation()
     expected = {0: 0, 1: 3, 2: 2, 3: 1}
     for src, dst in expected.items():
@@ -86,7 +88,7 @@ def test_toffoli_only_circuit_is_permutation():
 
 
 def test_hadamard_is_not_permutation():
-    u = column_unitary(col("H"), 1)
+    u = column_matrix("H")
     assert not u.is_permutation()
     # a sign or a repeated row breaks it too
     assert not ExactMatrix(((1, 0), (0, -1))).is_permutation()
@@ -96,7 +98,7 @@ def test_hadamard_is_not_permutation():
 def test_columns_compose_left_to_right():
     c = parse_circuit("qubits 3\ncolumns 2\nI Iv\nIv Av\nAv I+\n")
     u = circuit_unitary(c)
-    assert u == column_unitary(c.column(2), 3) @ column_unitary(c.column(1), 3)
+    assert u == column_matrix("Iv Av I+") @ column_matrix("I Iv Av")
 
 
 def test_demo_circuit_matches_path_pipeline(demo_circuit):
@@ -110,6 +112,23 @@ def test_golden_n8_matches_brute_matrix():
     assert full_matrix(c, Method.BRUTE) == circuit_unitary(c).report_rows()
 
 
+def test_golden_n8_mirror_is_the_identity():
+    # golden_n8.qc, then its columns in reverse: each column is its own
+    # inverse, so <b|U|a> = [a = b] at n = 8, h = 22
+    golden = parse_circuit((CIRCUITS / "golden_n8.qc").read_text(encoding="utf-8"))
+    mirror = parse_circuit((CIRCUITS / "golden_n8_mirror.qc").read_text(encoding="utf-8"))
+    assert mirror == Circuit(
+        golden.n_qubits, 2 * golden.n_columns, tuple(row + row[::-1] for row in golden.grid)
+    )
+    assert (mirror.n_qubits, mirror.n_columns, mirror.h) == (8, 82, 22)
+    for a, flipped in (("00000000", "00000001"), ("10110010", "00110010")):
+        assert element(mirror, a, a) == Amplitude(1)
+        assert element(mirror, a, flipped) == Amplitude(0)
+    assert circuit_unitary(mirror) == ExactMatrix.identity(256)
+    with pytest.raises(CapExceeded, match="root counting over 22 variables"):
+        element(mirror, "00000000", "00000000", Method.GB)
+
+
 def test_report_rows_is_transpose():
     # H on qubit 1, then a CNOT onto it: not symmetric, scale sqrt(2)^(-1)
     u = circuit_unitary(parse_circuit("qubits 2\ncolumns 2\nH A^\nI I^\n"))
@@ -121,9 +140,9 @@ def test_report_rows_is_transpose():
 
 
 def test_column_squares_to_identity():
-    h = column_unitary(col("H"), 1)
+    h = column_matrix("H")
     assert h @ h == ExactMatrix.identity(2)
-    t = column_unitary(col("Iv Mv Av"), 3)
+    t = column_matrix("Iv Mv Av")
     assert t @ t == ExactMatrix.identity(8)
 
 
