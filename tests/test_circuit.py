@@ -79,6 +79,12 @@ def test_gate_tokens_round_trip():
     assert len(Gate) == 9
 
 
+@pytest.mark.parametrize("bad", ["Qv", "i", "IV", "A", "", "H "])
+def test_gate_from_token_rejects(bad):
+    with pytest.raises(ValueError):
+        Gate(bad)
+
+
 # column validation
 
 def test_validate_accepts_worked_toffoli_column():
