@@ -22,7 +22,6 @@ from pathpoly import (
     Method,
     bit_label,
     circuit_unitary,
-    compile_circuit,
     count_groebner,
     full_matrix,
     random_circuit,
@@ -58,20 +57,16 @@ def main() -> int:
     oracle = [circuit_unitary(c) for c in circuits]
     timings["oracle"] = time.perf_counter() - t0
 
-    mismatches = sum(
-        not (mb == mg == tuple(u.report_rows()))
-        for mb, mg, u in zip(brute, groeb, oracle)
-    )
+    mismatches = sum(not (mb == mg == u) for mb, mg, u in zip(brute, groeb, oracle))
     print(f"matrix mismatches: {mismatches} / {len(circuits)}")
 
     conserved = counts_agree = unitary = 0
     for circuit, u in zip(circuits, oracle):
         n = circuit.n_qubits
-        ps = compile_circuit(circuit)
         a = "0" * n
         pairs = row_counts(circuit, a)
         conserved += sum(p.n0 + p.n1 for p in pairs) == 1 << circuit.h
-        gb = tuple(count_groebner(ps, a, bit_label(b, n)) for b in range(1 << n))
+        gb = tuple(count_groebner(circuit, a, bit_label(b, n)) for b in range(1 << n))
         counts_agree += gb == pairs
         unitary += (u.transpose() @ u) == ExactMatrix.identity(u.dim)
     print(f"path conservation holds: {conserved} / {len(circuits)}")

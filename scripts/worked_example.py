@@ -53,11 +53,10 @@ def main() -> int:
 
     brute = full_matrix(circuit, Method.BRUTE)
     groeb = full_matrix(circuit, Method.GB)
-    oracle = circuit_unitary(circuit).report_rows()
     print("\nfull matrix (rows a, columns b):")
     print(render_matrix_table(brute, circuit.n_qubits), end="")
     agree_gb = brute == groeb
-    agree_oracle = brute == tuple(oracle)
+    agree_oracle = brute == circuit_unitary(circuit)
     print(f"\nbrute == groebner: {agree_gb}")
     print(f"brute == dense oracle: {agree_oracle}")
     return 0 if agree_gb and agree_oracle else 1

@@ -10,6 +10,7 @@ from .amplitudes import (
     Amplitude,
     BRUTE_HADAMARD_CAP,
     CountPair,
+    ExactMatrix,
     MATRIX_QUBIT_CAP,
     Method,
     ROOT_COUNT_VARIABLE_CAP,
@@ -63,7 +64,7 @@ from .groebner import (
     normal_form,
     s_polynomial,
 )
-from .oracle import ExactMatrix, circuit_unitary
+from .oracle import circuit_unitary
 
 __version__ = "0.1.0"
 

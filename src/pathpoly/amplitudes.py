@@ -11,13 +11,15 @@ reduced basis of the rows, and N0 from that basis extended by the phase,
 i.e. from F0; F1 is never built.
 An Amplitude is a value m * sqrt(2)^(-e) of Z[1/sqrt(2)], built once from a
 count difference and kept normalized to compare and render; nothing adds or
-multiplies amplitudes, and no floating point appears anywhere.
+multiplies amplitudes, and no floating point appears anywhere.  full_matrix
+and the dense oracle both return an ExactMatrix, so they compare with ==.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, product
 from typing import Sequence
 
 from .circuit import Circuit
@@ -38,6 +40,18 @@ class Method(Enum):
     GB = "gb"
 
 
+def _halvings(bits: int, e: int) -> tuple[int, int]:
+    """(k, e - 2k) normalizing values v / sqrt(2)^e whose OR is bits to v/2^k.
+
+    k is the 2-adic valuation of bits capped at e // 2; all-zero values get e = 0."""
+    if e < 0:
+        raise ValueError("exponent e must be nonnegative")
+    if not bits:
+        return 0, 0
+    k = min((bits & -bits).bit_length() - 1, e // 2)
+    return k, e - 2 * k
+
+
 @dataclass(frozen=True)
 class Amplitude:
     """Exact value m * sqrt(2)^(-e), normalized so e is minimal.
@@ -51,16 +65,8 @@ class Amplitude:
     e: int = 0
 
     def __post_init__(self) -> None:
-        m, e = self.m, self.e
-        if e < 0:
-            raise ValueError("exponent e must be nonnegative")
-        if m == 0:
-            m, e = 0, 0
-        else:
-            while e >= 2 and m % 2 == 0:
-                m //= 2
-                e -= 2
-        object.__setattr__(self, "m", m)
+        k, e = _halvings(self.m, self.e)
+        object.__setattr__(self, "m", self.m >> k)
         object.__setattr__(self, "e", e)
 
     def render(self) -> str:
@@ -78,6 +84,63 @@ class Amplitude:
 
     def __str__(self) -> str:
         return self.render()
+
+
+@dataclass(frozen=True)
+class ExactMatrix:
+    """A square matrix entries / sqrt(2)^e; entries[i][j] / sqrt(2)^e = <i|U|j>.
+
+    Normalized as Amplitude is, over all entries at once (_halvings); the
+    zero matrix has e = 0.  So equality of normalized matrices is exact
+    equality over Z[1/sqrt(2)].
+    """
+
+    entries: tuple[tuple[int, ...], ...]
+    e: int = 0
+
+    def __post_init__(self) -> None:
+        entries = self.entries
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError("matrix must be square")
+        bits = 0
+        for m in chain.from_iterable(entries):
+            bits |= m
+        k, e = _halvings(bits, self.e)
+        if k:
+            entries = tuple(tuple(m >> k for m in row) for row in entries)
+            object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "e", e)
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    @classmethod
+    def identity(cls, dim: int) -> "ExactMatrix":
+        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        cols = tuple(zip(*other.entries))
+        return ExactMatrix(
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                for row in self.entries
+            ),
+            self.e + other.e,
+        )
+
+    def transpose(self) -> "ExactMatrix":
+        return ExactMatrix(tuple(zip(*self.entries)), self.e)
+
+    def report_rows(self) -> tuple[tuple[Amplitude, ...], ...]:
+        """Entries reindexed as (row a, column b) = <b|U|a>, the report layout."""
+        return tuple(tuple(Amplitude(m, self.e) for m in col) for col in zip(*self.entries))
+
+    def is_permutation(self) -> bool:
+        """True when e == 0 and the rows are those of the identity, reordered."""
+        return self.e == 0 and sorted(self.entries) == sorted(self.identity(self.dim).entries)
 
 
 @dataclass(frozen=True)
@@ -109,11 +172,6 @@ def _bound_x_masks(
     ]
     phase = tuple(m >> shift for m in ps.phase.substitute(bindings).monomial_masks)
     return rows, phase
-
-
-def _bits(index: int, n: int) -> tuple[int, ...]:
-    """Big-endian n-bit tuple of a basis index."""
-    return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def _brute_tables(circuit: Circuit, abits: Sequence[int]) -> tuple[list[int], int, int]:
@@ -233,10 +291,6 @@ def _gb_pair(
     substituted phase to count N0; N1 is the difference.  A free variable
     that occurs nowhere is a free leaf of the count, a factor 2.
     """
-    if h > ROOT_COUNT_VARIABLE_CAP:
-        raise CapExceeded(
-            f"root counting over {h} variables exceeds the cap of {ROOT_COUNT_VARIABLE_CAP}"
-        )
     bound = [set(masks) ^ {0} if bit else set(masks) for masks, bit in zip(rows, bbits)]
     solved = _solve_linear(bound, phase, h)
     if solved is None:
@@ -250,16 +304,26 @@ def _gb_pair(
     return CountPair(n0, total - n0)
 
 
+def _compile_for_roots(circuit: Circuit) -> PolySystem:
+    """Compile for root counting, refusing first when h passes the cap."""
+    if circuit.h > ROOT_COUNT_VARIABLE_CAP:
+        raise CapExceeded(
+            f"root counting over {circuit.h} variables exceeds the cap of {ROOT_COUNT_VARIABLE_CAP}"
+        )
+    return compile_circuit(circuit)
+
+
 def count_groebner(
-    ps: PolySystem, a: "str | Sequence[int]", b: "str | Sequence[int]"
+    circuit: Circuit, a: "str | Sequence[int]", b: "str | Sequence[int]"
 ) -> CountPair:
     """Count roots of the bound rows, then of F0, via Groebner bases.
 
     The linearly fixed path variables are solved for first, so only the
     residual system reaches Buchberger (see _gb_pair).
     """
-    abits = parse_bits(a, ps.n, "a")
-    bbits = parse_bits(b, ps.n, "b")
+    abits = parse_bits(a, circuit.n_qubits, "a")
+    bbits = parse_bits(b, circuit.n_qubits, "b")
+    ps = _compile_for_roots(circuit)
     rows, phase = _bound_x_masks(ps, abits)
     return _gb_pair(rows, phase, bbits, ps.h)
 
@@ -270,10 +334,9 @@ def count_paths(
     b: "str | Sequence[int]",
     method: Method = Method.BRUTE,
 ) -> CountPair:
-    """Count paths by the chosen method; only the Groebner method compiles."""
-    if method is Method.BRUTE:
-        return count_bruteforce(circuit, a, b)
-    return count_groebner(compile_circuit(circuit), a, b)
+    """Count paths by the chosen method."""
+    counter = count_bruteforce if method is Method.BRUTE else count_groebner
+    return counter(circuit, a, b)
 
 
 def element(
@@ -310,29 +373,28 @@ def row_counts(circuit: Circuit, a: "str | Sequence[int]") -> tuple[CountPair, .
     """
     n = circuit.n_qubits
     tables = _brute_tables(circuit, parse_bits(a, n, "a"))
-    return tuple(_brute_pair(*tables, _bits(b, n)) for b in range(1 << n))
+    return tuple(_brute_pair(*tables, bbits) for bbits in product((0, 1), repeat=n))
 
 
 def _gb_row_counts(ps: PolySystem, abits: Sequence[int]) -> tuple[CountPair, ...]:
     """Groebner CountPairs for all 2^N outputs b, binding a once."""
     rows, phase = _bound_x_masks(ps, abits)
-    return tuple(_gb_pair(rows, phase, _bits(b, ps.n), ps.h) for b in range(1 << ps.n))
+    return tuple(_gb_pair(rows, phase, bbits, ps.h) for bbits in product((0, 1), repeat=ps.n))
 
 
-def full_matrix(
-    circuit: Circuit, method: Method = Method.BRUTE
-) -> tuple[tuple[Amplitude, ...], ...]:
-    """The 2^N x 2^N matrix of <b|U|a>: rows indexed by a, columns by b."""
-    n, h = circuit.n_qubits, circuit.h
+def full_matrix(circuit: Circuit, method: Method = Method.BRUTE) -> ExactMatrix:
+    """The 2^N x 2^N matrix U with entries[b][a] = N0 - N1 of <b|U|a>, scale h."""
+    n = circuit.n_qubits
     if n > MATRIX_QUBIT_CAP:
         raise CapExceeded(f"matrix over {n} qubits exceeds the cap of {MATRIX_QUBIT_CAP}")
-    inputs = (_bits(a, n) for a in range(1 << n))
+    inputs = product((0, 1), repeat=n)
     if method is Method.GB:
-        ps = compile_circuit(circuit)
+        ps = _compile_for_roots(circuit)
         rows = (_gb_row_counts(ps, abits) for abits in inputs)
     else:
         rows = (row_counts(circuit, abits) for abits in inputs)
-    return tuple(tuple(Amplitude(p.n0 - p.n1, h) for p in pairs) for pairs in rows)
+    columns = [tuple(p.n0 - p.n1 for p in pairs) for pairs in rows]
+    return ExactMatrix(tuple(zip(*columns)), circuit.h)
 
 
 def bit_label(index: int, n: int) -> str:
@@ -340,10 +402,10 @@ def bit_label(index: int, n: int) -> str:
     return format(index, f"0{n}b") if n else ""
 
 
-def render_matrix_table(matrix: Sequence[Sequence[Amplitude]], n: int) -> str:
+def render_matrix_table(matrix: ExactMatrix, n: int) -> str:
     """Aligned text table: rows labeled by a, columns by b, big-endian."""
     labels = [bit_label(i, n) for i in range(1 << n)]
-    cells = [[amp.render() for amp in row] for row in matrix]
+    cells = [[amp.render() for amp in row] for row in matrix.report_rows()]
     widths = [
         max(len(labels[j]), max(len(row[j]) for row in cells)) for j in range(len(labels))
     ]
@@ -354,6 +416,7 @@ def render_matrix_table(matrix: Sequence[Sequence[Amplitude]], n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_matrix_json(matrix: Sequence[Sequence[Amplitude]]) -> str:
-    """JSON array of rows of rendered amplitude strings."""
-    return json.dumps([[amp.render() for amp in row] for row in matrix], ensure_ascii=False)
+def render_matrix_json(matrix: ExactMatrix) -> str:
+    """JSON array of rows a of rendered amplitude strings <b|U|a>."""
+    rows = matrix.report_rows()
+    return json.dumps([[amp.render() for amp in row] for row in rows], ensure_ascii=False)

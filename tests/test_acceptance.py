@@ -75,11 +75,11 @@ def test_criterion_2_worked_example_matrix():
     t0 = time.perf_counter()
     circuit = parse_circuit(DEMO_TEXT)
     matrix = full_matrix(circuit)
-    rendered = [[str(x) for x in row] for row in matrix]
+    rendered = [[str(x) for x in row] for row in matrix.report_rows()]
     assert rendered == DEMO_MATRIX
-    # the rows are the columns of U, and U^T U = 1 makes them orthonormal
+    # the report rows are the columns of U, and U^T U = 1 makes them orthonormal
     u = circuit_unitary(circuit)
-    assert u.report_rows() == matrix
+    assert u == matrix
     assert u.transpose() @ u == ExactMatrix.identity(u.dim)
     report(2, "worked-example matrix, unit-norm orthogonal rows", t0, 1.0)
 
@@ -113,14 +113,13 @@ def test_criterion_3_groebner_reproduction():
 def test_criterion_4_count_conditions():
     t0 = time.perf_counter()
     circuit = parse_circuit(DEMO_TEXT)
-    ps = compile_circuit(circuit)
     for bits in itertools.product((0, 1), repeat=6):
         a, b = bits[:3], bits[3:]
         c1 = a[0] ^ b[0]
         c2 = (a[1] & b[1]) ^ (a[2] & b[2])
         expected = (2, 0) if (c1, c2) == (0, 0) else (0, 2) if (c1, c2) == (0, 1) else (1, 1)
-        for counter, source in ((count_bruteforce, circuit), (count_groebner, ps)):
-            pair = counter(source, a, b)
+        for counter in (count_bruteforce, count_groebner):
+            pair = counter(circuit, a, b)
             assert (pair.n0, pair.n1) == expected, (a, b, counter.__name__)
     report(4, "root counts follow the parity/product conditions on all 64 bindings", t0, None)
 
@@ -130,7 +129,7 @@ def test_criterion_5_three_way_oracle_equivalence():
     for c in random_suite(200):
         brute = full_matrix(c, Method.BRUTE)
         gb = full_matrix(c, Method.GB)
-        reference = circuit_unitary(c).report_rows()
+        reference = circuit_unitary(c)
         assert brute == gb == reference
     report(5, "200 random circuits: brute = groebner = dense oracle", t0, 60.0)
 
@@ -163,7 +162,7 @@ def test_criterion_6_structural_invariants():
         u = circuit_unitary(c)
         assert u.is_permutation()
         assert all(u.entries[i][i] == 1 for i in range(u.dim))
-        assert full_matrix(c) == u.report_rows()
+        assert full_matrix(c) == u
     report(6, "conservation, exact unitarity, permutations, H-H cancellation", t0, None)
 
 

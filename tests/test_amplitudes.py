@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,8 @@ from pathpoly import (
 
 from pathpoly.amplitudes import _truth_table_patterns
 from conftest import DEMO_MATRIX, brute_root_count, circuits
+
+CIRCUITS = Path(__file__).parent.parent / "circuits"
 
 
 # amplitude normal form
@@ -94,22 +97,33 @@ def test_count_bruteforce_double_hadamard():
     assert count_bruteforce(c, "0", "0") == CountPair(2, 0)
 
 
-def test_count_bruteforce_cap():
+def test_count_bruteforce_cap(monkeypatch):
     c = parse_circuit("qubits 5\ncolumns 5\n" + "H H H H H\n" * 5)
     with pytest.raises(CapExceeded):
         count_bruteforce(c, "00000", "00000")
-    with pytest.raises(CapExceeded):
-        count_groebner(compile_circuit(c), "00000", "00000")
+
+    # past the root-count cap, the Groebner method refuses before compiling
+    def refuse(circuit):
+        raise AssertionError("compiled a circuit past the root-count cap")
+
+    monkeypatch.setattr("pathpoly.amplitudes.compile_circuit", refuse)
+    with pytest.raises(CapExceeded, match="root counting over 25 variables"):
+        count_groebner(c, "00000", "00000")
+    mirror = parse_circuit((CIRCUITS / "golden_n8_mirror.qc").read_text(encoding="utf-8"))
+    with pytest.raises(CapExceeded, match="root counting over 22 variables"):
+        element(mirror, "00000000", "00000000", Method.GB)
+    wide = parse_circuit("qubits 3\ncolumns 7\n" + "H H H H H H H\n" * 3)
+    with pytest.raises(CapExceeded, match="root counting over 21 variables"):
+        full_matrix(wide, Method.GB)
 
 
-def test_count_groebner_demo_rows(demo_system):
-    assert count_groebner(demo_system, "000", "000") == CountPair(2, 0)
-    assert count_groebner(demo_system, "011", "001") == CountPair(0, 2)
+def test_count_groebner_demo_rows(demo_circuit):
+    assert count_groebner(demo_circuit, "000", "000") == CountPair(2, 0)
+    assert count_groebner(demo_circuit, "011", "001") == CountPair(0, 2)
 
 
 def test_count_groebner_inconsistent_system():
-    ps = compile_circuit(Circuit.empty(2, 1))
-    assert count_groebner(ps, "00", "01") == CountPair(0, 0)
+    assert count_groebner(Circuit.empty(2, 1), "00", "01") == CountPair(0, 0)
 
 
 def test_count_groebner_returns_early_when_a_row_becomes_one(monkeypatch):
@@ -122,15 +136,15 @@ def test_count_groebner_returns_early_when_a_row_becomes_one(monkeypatch):
         raise AssertionError("_gb_masks called")
 
     monkeypatch.setattr("pathpoly.amplitudes._gb_masks", no_basis)
-    assert count_groebner(compile_circuit(c), "00", "10") == CountPair(0, 0)
+    assert count_groebner(c, "00", "10") == CountPair(0, 0)
 
 
 def test_count_groebner_without_hadamards():
     # h = 0: the bound rows are constants, so each b has one path or none
-    ps = compile_circuit(parse_circuit("qubits 2\ncolumns 1\nIv\nAv\n"))
-    assert ps.h == 0
-    assert count_groebner(ps, "10", "11") == CountPair(1, 0)
-    assert count_groebner(ps, "10", "10") == CountPair(0, 0)
+    c = parse_circuit("qubits 2\ncolumns 1\nIv\nAv\n")
+    assert c.h == 0
+    assert count_groebner(c, "10", "11") == CountPair(1, 0)
+    assert count_groebner(c, "10", "10") == CountPair(0, 0)
 
 
 def test_count_paths_dispatch(demo_circuit):
@@ -154,22 +168,18 @@ def test_element_single_hadamard():
 
 
 def test_full_matrix_identity_circuit():
-    matrix = full_matrix(Circuit.empty(2, 2))
-    for i in range(4):
-        for j in range(4):
-            assert matrix[i][j] == (Amplitude(1) if i == j else Amplitude(0))
+    assert full_matrix(Circuit.empty(2, 2)) == ExactMatrix.identity(4)
 
 
 def test_full_matrix_single_hadamard():
     matrix = full_matrix(parse_circuit("qubits 1\ncolumns 1\nH\n"))
-    r = Amplitude(1, 1)
-    assert matrix == ((r, r), (r, Amplitude(-1, 1)))
+    assert matrix == ExactMatrix(((1, 1), (1, -1)), 1)
 
 
 def test_full_matrix_demo(demo_circuit):
     for method in Method:
         matrix = full_matrix(demo_circuit, method)
-        assert [[str(x) for x in row] for row in matrix] == DEMO_MATRIX
+        assert [[str(x) for x in row] for row in matrix.report_rows()] == DEMO_MATRIX
 
 
 def test_full_matrix_qubit_cap():
@@ -178,9 +188,9 @@ def test_full_matrix_qubit_cap():
 
 
 def test_full_matrix_rows_have_unit_norm(demo_circuit):
-    # the rows are the columns of U, and U^T U = 1 makes them orthonormal
+    # the report rows are the columns of U, and U^T U = 1 makes them orthonormal
     u = circuit_unitary(demo_circuit)
-    assert u.report_rows() == full_matrix(demo_circuit)
+    assert u == full_matrix(demo_circuit)
     assert u.transpose() @ u == ExactMatrix.identity(u.dim)
 
 
@@ -197,12 +207,12 @@ def test_methods_agree_on_random_elements(c, data):
 @settings(max_examples=25, deadline=None)
 @given(circuits(max_qubits=3, max_columns=4, max_h=8), st.integers(0, 7))
 def test_row_counts_match_per_entry_counts(c, a_index):
-    ps = compile_circuit(c)
-    a = bit_label(a_index % (1 << ps.n), ps.n)
-    outputs = [bit_label(b, ps.n) for b in range(1 << ps.n)]
+    n = c.n_qubits
+    a = bit_label(a_index % (1 << n), n)
+    outputs = [bit_label(b, n) for b in range(1 << n)]
     singles = [count_bruteforce(c, a, b) for b in outputs]
     assert list(row_counts(c, a)) == singles
-    assert [count_groebner(ps, a, b) for b in outputs] == singles
+    assert [count_groebner(c, a, b) for b in outputs] == singles
 
 
 def test_truth_table_patterns_match_their_definition():
@@ -241,9 +251,9 @@ def test_gb_row_counts_match_brute_at_larger_h():
         if c.h >= 9:
             kept.append(c)
     for c in kept:
-        ps = compile_circuit(c)
-        a = bit_label(rng.randrange(1 << ps.n), ps.n)
-        gb = tuple(count_groebner(ps, a, bit_label(b, ps.n)) for b in range(1 << ps.n))
+        n = c.n_qubits
+        a = bit_label(rng.randrange(1 << n), n)
+        gb = tuple(count_groebner(c, a, bit_label(b, n)) for b in range(1 << n))
         assert gb == row_counts(c, a)
 
 
@@ -256,7 +266,7 @@ def test_brute_force_never_compiles(demo_circuit, monkeypatch):
     monkeypatch.setattr(Poly, "substitute", refuse)
     assert str(element(demo_circuit, "111", "101", Method.BRUTE)) == "-1/2"
     matrix = full_matrix(demo_circuit, Method.BRUTE)
-    assert [[str(x) for x in row] for row in matrix] == DEMO_MATRIX
+    assert [[str(x) for x in row] for row in matrix.report_rows()] == DEMO_MATRIX
 
 
 def test_mirrored_circuits_are_the_identity_past_the_oracle_cap():
@@ -302,8 +312,7 @@ def test_three_way_agreement_on_h_toffoli_h_circuits():
     rng = random.Random(6)
     for _ in range(12):
         c = _h_toffoli_h(rng)
-        oracle = tuple(circuit_unitary(c).report_rows())
-        assert full_matrix(c, Method.GB) == full_matrix(c, Method.BRUTE) == oracle
+        assert full_matrix(c, Method.GB) == full_matrix(c, Method.BRUTE) == circuit_unitary(c)
 
 
 # rendering
@@ -325,4 +334,4 @@ def test_render_matrix_table_layout(demo_circuit):
 def test_render_matrix_json_round_trips(demo_circuit):
     matrix = full_matrix(demo_circuit)
     parsed = json.loads(render_matrix_json(matrix))
-    assert parsed == [[str(x) for x in row] for row in matrix]
+    assert parsed == [[str(x) for x in row] for row in matrix.report_rows()]

@@ -201,6 +201,15 @@ def test_compile_cap_names_the_column(capsys):
     assert err.startswith("error: column 40:")
 
 
+def test_root_count_cap_refuses_before_compiling(capsys):
+    # h = 41: the root-count refusal comes before compiling, which would be
+    # refused only at column 40
+    bits = "0" * 10
+    code, out, err = run(capsys, "element", BLOWUP_PATH, "--a", bits, "--b", bits, "--method", "gb")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: root counting over 41 variables")
+
+
 def test_compile_refused_circuit_gets_a_brute_force_answer(capsys):
     # brute force walks the circuit itself, so the compile cap does not bind it
     c = parse_circuit(Path(REFUSED_PATH).read_text(encoding="utf-8"))
@@ -309,3 +318,55 @@ def test_malformed_text_ends_in_a_defined_exit_code(tmp_path_factory, text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([argv[0], str(path), *argv[1:]])
         assert code in (0, 1, 2), (argv, text)
+
+
+_METHOD_ARGS = st.sampled_from(["brute", "gb", "", "GB", "dense", "brute,gb"])
+_FORMAT_ARGS = st.sampled_from(["plain", "maple", "mathematica", "", "latex", "Plain"])
+
+
+def _bit_args(n: int) -> st.SearchStrategy[str]:
+    """n bits, or bits of another length, or a string with other characters."""
+    return st.one_of(
+        st.text("01", min_size=n, max_size=n),
+        st.text("01", max_size=n + 2),
+        st.text("01 2ab,=-", max_size=n + 2),
+    )
+
+
+def _bind_args(n: int) -> st.SearchStrategy[str]:
+    """--bind specs whose parts may repeat, name no parameter, or be empty."""
+    part = st.one_of(
+        st.builds("{}={}".format, st.sampled_from(["a", "b", " b ", "c", ""]), _bit_args(n)),
+        st.sampled_from(["", "a", "=", "b==1"]),
+    )
+    return st.lists(part, min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.none() | st.integers(0, 2**32), st.data())
+def test_malformed_arguments_end_in_a_defined_exit_code(tmp_path_factory, seed, data):
+    # the demo circuit, or a small random one (n <= 4, h <= 6) on which even
+    # gb with b left symbolic is fast
+    if seed is None:
+        path, n = DEMO_PATH, 3
+    else:
+        c = random_circuit(random.Random(seed), 4, 5, 6)
+        path, n = str(tmp_path_factory.getbasetemp() / "args.qc"), c.n_qubits
+        Path(path).write_text(format_circuit(c), encoding="utf-8")
+    a, b = data.draw(_bit_args(n)), data.draw(_bit_args(n))
+    method = data.draw(_METHOD_ARGS)
+    for argv in (
+        ["validate"],
+        ["compile"],
+        ["count", "--a", a, "--b", b, "--method", method],
+        ["element", "--a", a, "--b", b, "--method", method],
+        ["matrix", "--method", method],
+        ["gb", "--bind", data.draw(_bind_args(n))],
+        ["export", "--format", data.draw(_FORMAT_ARGS)],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([argv[0], path, *argv[1:]])
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+        assert code in (0, 1, 2), argv

@@ -163,7 +163,7 @@ def test_hadamard_free_circuits_are_bijections(c):
 @given(circuits(max_qubits=3, max_columns=4, max_h=8), st.integers(0, 7))
 def test_path_count_conservation(c, a_index):
     # every path of the compiled system ends in exactly one output b
-    ps = compile_circuit(c)
-    a = [(a_index >> i) & 1 for i in range(ps.n)]
-    counts = [count_groebner(ps, a, bit_label(b, ps.n)) for b in range(1 << ps.n)]
-    assert sum(pair.n0 + pair.n1 for pair in counts) == 1 << ps.h
+    n = c.n_qubits
+    a = [(a_index >> i) & 1 for i in range(n)]
+    counts = [count_groebner(c, a, bit_label(b, n)) for b in range(1 << n)]
+    assert sum(pair.n0 + pair.n1 for pair in counts) == 1 << c.h
