@@ -5,9 +5,15 @@ Samples random valid circuits, computes the full matrix by brute-force
 counting, by Groebner counting and by the dense oracle, and reports exact
 agreement plus timing and structural-invariant statistics.  Amplitudes
 are only N0 - N1, so the N0/N1 counts of the all-zeros input row are also
-compared between brute force and Groebner counting.  Exits 1 when any
-matrix mismatch, count mismatch, conservation failure or unitarity failure
-occurs.
+compared between brute force and Groebner counting.  Each circuit C is also
+mirrored: C followed by its columns in reverse order is the identity, since
+every column is its own inverse, so <a|U|a> = 1 and <b|U|a> = 0 for b != a
+at twice the h.  Brute force checks that for a = 0...0 and for one drawn a,
+and Groebner counting does too while the mirror's h is within --max-h, the
+budget the sweep already gives Groebner counting (Buchberger has no work
+bound, and some mirrors with h of 16 to 20 take minutes).  Exits 1 when any
+matrix mismatch, count mismatch, conservation failure, unitarity failure or
+mirror miss occurs.
 """
 from __future__ import annotations
 
@@ -18,11 +24,14 @@ import time
 from collections import Counter
 
 from pathpoly import (
+    Amplitude,
+    Circuit,
     ExactMatrix,
     Method,
     bit_label,
     circuit_unitary,
     count_groebner,
+    element,
     full_matrix,
     random_circuit,
     row_counts,
@@ -72,6 +81,23 @@ def main() -> int:
     print(f"path conservation holds: {conserved} / {len(circuits)}")
     print(f"GB counts = brute counts: {counts_agree} / {len(circuits)}")
     print(f"exact unitarity holds:   {unitary} / {len(circuits)}")
+    t0 = time.perf_counter()
+    mirror_ok = mirror_checks = 0
+    for c in circuits:
+        n = c.n_qubits
+        mirror = Circuit(n, 2 * c.n_columns, tuple(row + row[::-1] for row in c.grid))
+        methods = [Method.BRUTE]
+        if mirror.h <= args.max_h:
+            methods.append(Method.GB)
+        for a in (0, rng.randrange(1 << n)):
+            b = a ^ rng.randrange(1, 1 << n)
+            for method in methods:
+                for out, expected in ((a, Amplitude(1)), (b, Amplitude(0))):
+                    amp = element(mirror, bit_label(a, n), bit_label(out, n), method)
+                    mirror_ok += amp == expected
+                    mirror_checks += 1
+    timings["mirror"] = time.perf_counter() - t0
+    print(f"mirror identity holds: {mirror_ok} / {mirror_checks}")
     for name, seconds in timings.items():
         print(f"{name:9s} {seconds:7.2f}s")
     failed = (
@@ -79,6 +105,7 @@ def main() -> int:
         or conserved < len(circuits)
         or counts_agree < len(circuits)
         or unitary < len(circuits)
+        or mirror_ok < mirror_checks
     )
     return 1 if failed else 0
 

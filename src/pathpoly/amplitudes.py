@@ -7,8 +7,8 @@ each with one kernel.  Brute force never compiles: it walks Circuit.steps on
 compile cap does not bind it.  Groebner-based root counting first solves the
 compiled, bound rows for every path variable that one of them fixes linearly
 and substitutes it away; on the residual system it takes N0 + N1 from the
-reduced basis of the rows, and N0 from that basis extended by the phase,
-i.e. from F0; F1 is never built.
+reduced basis of the rows, and N0 from the reduced basis of the rows and
+the phase, i.e. of F0; F1 is never built.
 An Amplitude is a value m * sqrt(2)^(-e) of Z[1/sqrt(2)], built once from a
 count difference and kept normalized to compare and render; nothing adds or
 multiplies amplitudes, and no floating point appears anywhere.  full_matrix
@@ -286,21 +286,19 @@ def _gb_pair(
 
     The rows are first solved for the variables they fix (_solve_linear),
     and only the residual system reaches Buchberger.  N0 + N1 is the root
-    count of the residual rows over the free variables, so their basis is
-    computed once and, unless the rows have no root, extended by the
-    substituted phase to count N0; N1 is the difference.  A free variable
-    that occurs nowhere is a free leaf of the count, a factor 2.
+    count of the residual rows over the free variables, N0 that of the rows
+    with the substituted phase; N1 is the difference.  Rows without a common
+    root have the unit basis, whose leading monomial 1 leaves no standard
+    monomial.  A free variable that occurs nowhere is a free leaf of the
+    count, a factor 2.
     """
     bound = [set(masks) ^ {0} if bit else set(masks) for masks, bit in zip(rows, bbits)]
     solved = _solve_linear(bound, phase, h)
     if solved is None:
         return CountPair(0, 0)
     f, phi, free = solved
-    rows_basis = _gb_masks(f, h)
-    total = _count_standard([g[0] for g in rows_basis], free)
-    if total == 0:
-        return CountPair(0, 0)
-    n0 = _count_standard([g[0] for g in _gb_masks([phi], h, rows_basis)], free)
+    total = _count_standard([g[0] for g in _gb_masks(f, h)], free)
+    n0 = _count_standard([g[0] for g in _gb_masks([*f, phi], h)], free)
     return CountPair(n0, total - n0)
 
 

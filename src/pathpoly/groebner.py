@@ -11,15 +11,15 @@ relations.  Processing those pairs restores Buchberger's criterion in the
 quotient ring.
 
 One Buchberger core, _gb_masks, holds the pair queue, the registration of
-new generators and the final interreduction.  It can start from a reduced
-basis and extend it, forming only the pairs that involve a new generator.  A
-polynomial is a collection of distinct monomial bitmasks as the universe lays
-them out: a descending tuple for inputs and results (Poly.monomial_masks),
-a set while it is being reduced.  The term order is lex by the universe's
-precedence, so monomial comparison is integer comparison and the leading
-monomial is the maximum.  Addition is symmetric difference, and multiplying
-by a monomial ORs its mask into every term (gf2poly._mul_mono, the mask
-kernel this module shares with Poly).
+new generators and the final interreduction, and returns the reduced basis
+of exactly the polynomials it is handed.  A polynomial is a collection of
+distinct monomial bitmasks as the universe lays them out: a descending tuple
+for inputs and results (Poly.monomial_masks), a set while it is being
+reduced.  The term order is lex by the universe's precedence, so monomial
+comparison is integer comparison and the leading monomial is the maximum.
+Addition is symmetric difference, and multiplying by a monomial ORs its mask
+into every term (gf2poly._mul_mono, the mask kernel this module shares with
+Poly).
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -64,24 +64,16 @@ def _nf(p: Iterable[int], lms: Sequence[int], polys: Sequence[Iterable[int]]) ->
     return out
 
 
-def _gb_masks(
-    mask_polys: Iterable[Iterable[int]],
-    n_vars: int,
-    basis: Sequence[tuple[int, ...]] = (),
-) -> list[tuple[int, ...]]:
-    """Reduced Groebner basis of basis + mask_polys: descending mask tuples,
-    sorted descending by leading monomial.
+def _gb_masks(mask_polys: Iterable[Iterable[int]], n_vars: int) -> list[tuple[int, ...]]:
+    """Reduced Groebner basis of mask_polys: descending mask tuples, sorted
+    descending by leading monomial.
 
-    basis must be a reduced basis as this function returns it; it seeds the
-    generators, and only pairs involving a new generator are formed, since
-    pairs among the seed (field pairs included) already reduce to 0 modulo
-    the seed and so modulo any superset.  Returns [] for the zero ideal and
-    [(0,)] for an inconsistent system.  The kernel does not use n_vars; it
-    stays in the signature because the perfbench tracer reads it, with the
-    number of mask_polys, from this call.
+    Returns [] for the zero ideal and [(0,)] for an inconsistent system.  The
+    kernel does not use n_vars; it stays in the signature because the
+    perfbench tracer reads it, with the number of mask_polys, from this call.
     """
-    gens: list[Iterable[int]] = list(basis)
-    lms: list[int] = [g[0] for g in basis]
+    gens: list[Iterable[int]] = []
+    lms: list[int] = []
     pairs: list[tuple[int, int, int, int]] = []
 
     def register(p: set[int]) -> None:
@@ -131,36 +123,24 @@ def _gb_masks(
 def _count_standard(lms: Sequence[int], var_mask: int) -> int:
     """Number of submasks of var_mask containing none of the lms as a submask.
 
-    Branches on one variable of the first constraint: excluding it drops the
-    constraints that mention it, including it shrinks them; a constraint
-    reduced to the empty monomial kills its branch.  Variables never
-    mentioned are free and contribute a power of two at the leaves.
+    Branches on the lowest variable v of a smallest constraint: without v,
+    the constraints that contain v are met and drop out; with v, v is
+    cleared from every constraint.  A constraint reduced to the empty
+    monomial kills its branch, and variables no constraint mentions are free
+    leaves, a power of two.  The constraints need not be a minimal antichain:
+    a superset constraint can never outlive a subset, since it drops out
+    whenever the subset does and empties no sooner, so duplicates and
+    supersets never change a count.
     """
-    lms = _minimal_antichain(lms)
-    if any(lm == 0 for lm in lms):
+    if 0 in lms:
         return 0
     if not lms:
         return 1 << var_mask.bit_count()
-    v = lms[0] & -lms[0]
+    smallest = min(lms, key=int.bit_count)
+    v = smallest & -smallest
     rest = var_mask & ~v
     without = [lm for lm in lms if not lm & v]
-    total = _count_standard(without, rest)
-    with_v = []
-    for lm in lms:
-        t = lm & ~v
-        if t == 0:
-            return total
-        with_v.append(t)
-    return total + _count_standard(with_v, rest)
-
-
-def _minimal_antichain(lms: Sequence[int]) -> list[int]:
-    uniq = sorted(set(lms), key=int.bit_count)
-    keep: list[int] = []
-    for lm in uniq:
-        if not any(k & lm == k for k in keep):
-            keep.append(lm)
-    return keep
+    return _count_standard(without, rest) + _count_standard([lm & ~v for lm in lms], rest)
 
 
 # ---------------------------------------------------------------------------

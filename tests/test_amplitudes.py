@@ -28,13 +28,15 @@ from pathpoly import (
     element,
     full_matrix,
     parse_circuit,
+    place_hadamard,
+    place_toffoli,
     random_circuit,
     render_matrix_json,
     render_matrix_table,
     row_counts,
 )
 
-from pathpoly.amplitudes import _truth_table_patterns
+from pathpoly.amplitudes import _bound_x_masks, _solve_linear, _truth_table_patterns
 from conftest import DEMO_MATRIX, brute_root_count, circuits
 
 CIRCUITS = Path(__file__).parent.parent / "circuits"
@@ -137,6 +139,30 @@ def test_count_groebner_returns_early_when_a_row_becomes_one(monkeypatch):
 
     monkeypatch.setattr("pathpoly.amplitudes._gb_masks", no_basis)
     assert count_groebner(c, "00", "10") == CountPair(0, 0)
+
+
+def test_count_groebner_unit_residual_counts_zero():
+    # rows 3 and 4 compile to x1*x2 + x1 + a3 and x1*x2 + x1 + a4; neither
+    # has a linear pivot, so with a = 0000 and b = 0001 both reach Buchberger
+    # as x1*x2 + x1 and x1*x2 + x1 + 1, whose basis is the unit basis
+    c = Circuit.empty(4, 6)
+    for column in (1, 6):
+        for row in (1, 2):
+            c = place_hadamard(c, column, row)
+    c = place_toffoli(c, 2, [1, 2], 3)
+    c = place_toffoli(c, 3, [1], 3)
+    c = place_toffoli(c, 4, [1, 2], 4)
+    c = place_toffoli(c, 5, [1], 4)
+    ps = compile_circuit(c)
+    assert [str(p) for p in ps.row_polys[2:]] == ["x1*x2 + x1 + a3", "x1*x2 + x1 + a4"]
+    rows, phase = _bound_x_masks(ps, (0, 0, 0, 0))
+    bound = [set(masks) ^ {0} if bit else set(masks) for masks, bit in zip(rows, (0, 0, 0, 1))]
+    x1, x2 = 1 << 3, 1 << 2
+    f, _, free = _solve_linear(bound, phase, ps.h)
+    assert f == [{x1 | x2, x1}, {x1 | x2, x1, 0}]
+    assert free == x1 | x2
+    assert count_groebner(c, "0000", "0001") == count_bruteforce(c, "0000", "0001") == CountPair(0, 0)
+    assert full_matrix(c, Method.GB) == full_matrix(c) == circuit_unitary(c)
 
 
 def test_count_groebner_without_hadamards():
@@ -242,8 +268,9 @@ def test_compiled_system_matches_bruteforce_at_every_point(c, data):
 
 
 def test_gb_row_counts_match_brute_at_larger_h():
-    # h = 9..12 with some outputs that no path reaches, so the GB path meets
-    # both a row basis that it extends by the phase and one without roots
+    # h = 9..12 with some outputs that no path reaches: every row set here
+    # without a common root already ends in the linear solve, so the unit
+    # residual basis is tested in test_count_groebner_unit_residual_counts_zero
     rng = random.Random(11)
     kept = []
     while len(kept) < 20:

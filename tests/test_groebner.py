@@ -215,6 +215,14 @@ def test_s_polynomial_cancels_leading_terms(up):
         assert s.monomial_masks[0] < lcm
 
 
+def test_s_polynomial_of_zero_is_undefined():
+    x1 = Poly.variable(U2, path_var(1))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        s_polynomial(Poly.zero(U2), x1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        s_polynomial(x1, Poly.zero(U2))
+
+
 # kernel cross-checks
 
 def _raw_systems(data, n_vars: int):
@@ -273,7 +281,9 @@ def test_gb_masks_counts_roots_of_raw_systems(n_vars, data):
 @given(st.integers(1, 12), st.data())
 def test_count_standard_matches_flat_enumeration(n_vars, data):
     var_mask = (1 << n_vars) - 1
-    lms = data.draw(st.lists(st.integers(0, var_mask), max_size=6))
+    # up to 20 constraints over at most 12 variables: duplicates, nested
+    # constraints and the empty constraint 0 come up often
+    lms = data.draw(st.lists(st.integers(0, var_mask), max_size=20))
     expected = sum(
         all((s & lm) != lm for lm in lms) for s in range(1 << n_vars)
     )
@@ -294,16 +304,3 @@ def test_buchberger_root_count_matches_brute_force_over_16_variables():
     sub = VarUniverse(v for v in u.variables if v in set(support))
     projected = [Poly.parse(str(q), sub) for q in polys]
     assert basis_root_count(G, u) == brute_root_count(projected, sub) << (16 - sub.size)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 16), st.data())
-def test_gb_masks_extends_a_seed_basis(n_vars, data):
-    # a reduced basis is unique for a fixed order, so extending the basis of
-    # old by new must give exactly the basis of old and new together.  The
-    # zero ideal and the unit ideal are checked as seeds every time.
-    _, system = _raw_systems(data, n_vars)
-    old, new = data.draw(system), data.draw(system)
-    for start in ([], [(0,)], old):
-        seed = _gb_masks(start, n_vars)
-        assert _gb_masks(new, n_vars, seed) == _gb_masks([*start, *new], n_vars)

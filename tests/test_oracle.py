@@ -57,6 +57,11 @@ def test_normalization_halves_even_entries():
     assert ExactMatrix(((2, 0), (0, 2)), 1).entries == ((2, 0), (0, 2))
 
 
+def test_exact_matrix_must_be_square():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        ExactMatrix(((1, 2),), 0)
+
+
 def test_zero_matrix_has_exponent_zero():
     assert ExactMatrix(((0, 0), (0, 0)), 5).e == 0
     assert ExactMatrix(((0, 0), (0, 0)), 5) == ExactMatrix(((0, 0), (0, 0)))
