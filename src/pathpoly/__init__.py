@@ -44,7 +44,6 @@ from .compiler import (
     COMPILE_PRODUCT_CAP,
     PolySystem,
     assemble_systems,
-    column_states,
     compile_circuit,
     parse_bits,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "buchberger",
     "circuit_unitary",
     "column_chains",
-    "column_states",
     "compile_circuit",
     "count_bruteforce",
     "count_groebner",

@@ -25,7 +25,7 @@ from typing import Sequence
 from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
-from .gf2poly import _mul_mono, input_var
+from .gf2poly import _mul, input_var
 from .groebner import _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
@@ -233,9 +233,10 @@ def _substitute(p: set[int], v: int, g: set[int]) -> None:
     Each monomial m containing v becomes (m without v) * g, XOR-accumulated;
     g must not mention v.
     """
-    for m in [m for m in p if m & v]:
-        p.remove(m)
-        p ^= _mul_mono(g, m ^ v)
+    hits = [m for m in p if m & v]
+    if hits:  # most calls hit nothing, and an empty product still costs
+        p.difference_update(hits)
+        p ^= _mul(g, [m ^ v for m in hits])
 
 
 def _solve_linear(
@@ -380,11 +381,17 @@ def _gb_row_counts(ps: PolySystem, abits: Sequence[int]) -> tuple[CountPair, ...
     return tuple(_gb_pair(rows, phase, bbits, ps.h) for bbits in product((0, 1), repeat=ps.n))
 
 
+def _check_matrix_cap(n: int) -> None:
+    """Refuse a dense 2^n x 2^n matrix past MATRIX_QUBIT_CAP; full_matrix and
+    the dense oracle both call this before they start."""
+    if n > MATRIX_QUBIT_CAP:
+        raise CapExceeded(f"matrix over {n} qubits exceeds the cap of {MATRIX_QUBIT_CAP}")
+
+
 def full_matrix(circuit: Circuit, method: Method = Method.BRUTE) -> ExactMatrix:
     """The 2^N x 2^N matrix U with entries[b][a] = N0 - N1 of <b|U|a>, scale h."""
     n = circuit.n_qubits
-    if n > MATRIX_QUBIT_CAP:
-        raise CapExceeded(f"matrix over {n} qubits exceeds the cap of {MATRIX_QUBIT_CAP}")
+    _check_matrix_cap(n)
     inputs = product((0, 1), repeat=n)
     if method is Method.GB:
         ps = _compile_for_roots(circuit)

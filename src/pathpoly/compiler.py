@@ -3,8 +3,12 @@
 Each qubit row carries a Z2 polynomial in the inputs a_i and the path
 variables x_k; each H cell replaces its row value by a fresh x_k and adds
 input*x_k to the phase polynomial.  Vertical chains multiply the values of
-their control rows and XOR the product into the target row.  All signals of
-a column are computed from the column's input state before any cell updates.
+their control rows and XOR the product into the target row.  Every cell of
+a column reads the column's input state.
+
+The compiler works on monomial-mask sets with the ring kernels of gf2poly,
+as the brute-force walk in amplitudes works on truth tables, and builds a
+Poly of each row and of the phase once, at the end.
 
 The final row polynomials give the output bits b_i(x; a) and the phase gives
 the sign (-1)^phi of each path, so the amplitude <b|U|a> is determined by
@@ -13,11 +17,11 @@ counting the roots of {b_i(x;a) + b_i} joint with phi = 0 or 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .circuit import Circuit
 from .errors import CapExceeded
-from .gf2poly import Poly, VarUniverse, input_var, output_var, path_var
+from .gf2poly import Poly, VarUniverse, _mul, _mul_mono, input_var, output_var, path_var
 
 # Most term pairs one control-row product may form.  The benchmark's deep
 # compiles (40-80 columns, up to 3 controls) form at most about 2*10^4; a
@@ -43,40 +47,44 @@ class PolySystem:
         return self.phase.universe
 
 
-def column_states(circuit: Circuit) -> Iterator[tuple[tuple[Poly, ...], Poly]]:
-    """Yield (row polynomials, phase) after each column, left to right."""
+def compile_circuit(circuit: Circuit) -> PolySystem:
+    """Compile a circuit column by column into its polynomial system.
+
+    Rows and phase are mask sets updated in place: a chain XORs the product
+    of its control rows into its target row, and the k-th H cell XORs
+    row*x_k into the phase and sets its row to {x_k}.  The cells of a column
+    hold distinct rows, so each cell still reads the column's input.  No row
+    shares another row's set: a one-control chain's signal is the control
+    row's own set, which is only read.
+    """
     universe = VarUniverse.for_circuit(circuit.h, circuit.n_qubits)
-    state = [Poly.variable(universe, input_var(i)) for i in range(1, circuit.n_qubits + 1)]
-    phase = Poly.zero(universe)
-    next_path = 1
+    rows = [{1 << universe.bit(input_var(i))} for i in range(1, circuit.n_qubits + 1)]
+    phase: set[int] = set()
+    k = 0
     for c, (chains, hadamards) in enumerate(circuit.steps, 1):
-        new_state = list(state)
         for chain in chains:
-            signal = state[chain.controls[0] - 1]
+            signal = rows[chain.controls[0] - 1]
             for r in chain.controls[1:]:
-                factor = state[r - 1]
-                pairs = len(signal.monomial_masks) * len(factor.monomial_masks)
+                factor = rows[r - 1]
+                pairs = len(signal) * len(factor)
                 if pairs > COMPILE_PRODUCT_CAP:
                     raise CapExceeded(
                         f"column {c}: control-row product of {pairs} term pairs "
                         f"exceeds the cap of {COMPILE_PRODUCT_CAP}"
                     )
-                signal = signal * factor
-            new_state[chain.target - 1] = state[chain.target - 1] + signal
+                signal = _mul(signal, factor)
+            rows[chain.target - 1] ^= signal
         for r in hadamards:
-            x = Poly.variable(universe, path_var(next_path))
-            next_path += 1
-            phase = phase + state[r - 1] * x
-            new_state[r - 1] = x
-        state = new_state
-        yield tuple(state), phase
-
-
-def compile_circuit(circuit: Circuit) -> PolySystem:
-    """Compile a circuit column by column into its polynomial system."""
-    for rows, phase in column_states(circuit):
-        pass
-    return PolySystem(row_polys=rows, phase=phase, h=circuit.h, n=circuit.n_qubits)
+            k += 1
+            x = 1 << universe.bit(path_var(k))
+            phase ^= _mul_mono(rows[r - 1], x)
+            rows[r - 1] = {x}
+    return PolySystem(
+        row_polys=tuple(Poly(universe, row) for row in rows),
+        phase=Poly(universe, phase),
+        h=circuit.h,
+        n=circuit.n_qubits,
+    )
 
 
 def parse_bits(bits: "str | Sequence[int]", n: int, name: str = "bits") -> tuple[int, ...]:
@@ -111,10 +119,10 @@ def assemble_systems(
         for i, bit in enumerate(parse_bits(a, ps.n, "a"), 1):
             bindings[input_var(i)] = bit
     if b is not None:
-        b_terms = [Poly.constant(universe, bit) for bit in parse_bits(b, ps.n, "b")]
+        b_terms = [(0,) if bit else () for bit in parse_bits(b, ps.n, "b")]
     else:
-        b_terms = [Poly.variable(universe, output_var(i)) for i in range(1, ps.n + 1)]
+        b_terms = [(1 << universe.bit(output_var(i)),) for i in range(1, ps.n + 1)]
     rows = [p.substitute(bindings) if bindings else p for p in ps.row_polys]
     phase = ps.phase.substitute(bindings) if bindings else ps.phase
-    f = tuple(row + term for row, term in zip(rows, b_terms))
-    return (*f, phase), (*f, phase + 1)
+    f = tuple(Poly(universe, row.monomial_masks + term) for row, term in zip(rows, b_terms))
+    return (*f, phase), (*f, Poly(universe, phase.monomial_masks + (0,)))

@@ -10,13 +10,18 @@ monomials.  That lex order is the only term order: another precedence is
 another universe.  Polynomials store their masks sorted descending, which
 makes the canonical form unique and the leading monomial the first entry.
 
-`Poly` is the only polynomial type; a monomial is a one-term `Poly`, as
-`Poly.leading_monomial` returns it.  This module is the one place that knows
-the mask representation: `_mul_mono` (a mask polynomial times a monomial,
-with repeated terms cancelling in pairs) is the kernel that `Poly`,
-`groebner` and the linear solve in `amplitudes` share, and `Poly.__init__`,
-through it, is the only place where `Poly` cancels and sorts terms.
-`Poly.substitute` binds variables to the constants 0 and 1 only.
+This module is the one place that knows the mask representation.  All ring
+arithmetic is done on sets of masks: addition is symmetric difference,
+`_mul_mono` multiplies by a monomial (repeated terms cancel in pairs) and
+`_mul` multiplies two polynomials through it.  The compiler, Buchberger in
+`groebner` and the linear solve in `amplitudes` all compute with these two
+kernels, not with `Poly`.
+
+`Poly` is the only polynomial type, and it is a value with no operators: it
+is built, inspected, bound to constants (`Poly.substitute`), evaluated,
+printed and parsed.  Its constructor is the one place that cancels and sorts
+terms.  A monomial is a one-term `Poly`, as `Poly.leading_monomial` returns
+it.
 
 Printing costs O(degree) per monomial, independent of the universe size: a
 universe builds its bit-indexed table of variables and names once, and a
@@ -27,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping
 
 
 class VarKind(Enum):
@@ -174,12 +179,13 @@ def _mul_mono(p: Iterable[int], q: int) -> set[int]:
     return out
 
 
-def _check_same_universe(a: "VarUniverse", b: "VarUniverse") -> None:
-    if a != b:
-        raise ValueError("operands live in different universes")
+def _mul(p: Collection[int], q: Iterable[int]) -> set[int]:
+    """The mask polynomial p times q: the XOR of p times each term of q."""
+    out: set[int] = set()
+    for m in q:
+        out ^= _mul_mono(p, m)
+    return out
 
-
-PolyLike = Union["Poly", int]
 
 _TERM_SPLIT = re.compile(r"\+|⊕")
 
@@ -188,9 +194,9 @@ class Poly:
     """A canonical Z2 polynomial: a descending tuple of distinct monomial masks.
 
     Construction cancels repeated masks in pairs and sorts, so two equal
-    polynomials are structurally identical.  Addition hands both operands'
-    masks to the constructor; multiplication ORs masks pairwise, which is
-    exactly idempotent squarefree multiplication.
+    polynomials are structurally identical.  A Poly is a value: it has no
+    arithmetic operators, and code that computes on polynomials works on
+    mask sets with `_mul_mono` and `_mul`, then builds a Poly of the result.
     """
 
     __slots__ = ("universe", "_masks")
@@ -206,12 +212,6 @@ class Poly:
     @classmethod
     def one(cls, universe: VarUniverse) -> "Poly":
         return cls(universe, (0,))
-
-    @classmethod
-    def constant(cls, universe: VarUniverse, bit: int) -> "Poly":
-        if bit not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {bit!r}")
-        return cls(universe, (0,) if bit else ())
 
     @classmethod
     def variable(cls, universe: VarUniverse, v: Variable) -> "Poly":
@@ -246,35 +246,6 @@ class Poly:
         if not self._masks:
             raise ValueError("the zero polynomial has no leading monomial")
         return Poly(self.universe, self._masks[:1])
-
-    def _coerce(self, other: PolyLike) -> "Poly | None":
-        if isinstance(other, Poly):
-            _check_same_universe(self.universe, other.universe)
-            return other
-        if isinstance(other, int):
-            return Poly.constant(self.universe, other & 1) if other in (0, 1) else None
-        return None
-
-    def __add__(self, other: PolyLike) -> "Poly":
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return Poly(self.universe, self._masks + p._masks)
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other: PolyLike) -> "Poly":
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        acc: set[int] = set()
-        for mb in p._masks:
-            acc ^= _mul_mono(self._masks, mb)
-        return Poly(self.universe, acc)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (

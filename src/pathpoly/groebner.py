@@ -19,7 +19,7 @@ reduced.  The term order is lex by the universe's precedence, so monomial
 comparison is integer comparison and the leading monomial is the maximum.
 Addition is symmetric difference, and multiplying by a monomial ORs its mask
 into every term (gf2poly._mul_mono, the mask kernel this module shares with
-Poly).
+the compiler and the linear solve in amplitudes).
 
 Pair selection uses the normal strategy (minimal lcm under the order), and
 Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
@@ -196,7 +196,10 @@ def is_groebner_basis(G: Sequence[Poly]) -> bool:
         for g in gens[i + 1 :]:
             if not normal_form(s_polynomial(f, g), G).is_zero:
                 return False
-        for v in f.leading_monomial().variables:
-            if not normal_form(f * Poly.variable(f.universe, v), G).is_zero:
-                return False
+        lm = f.monomial_masks[0]
+        for bit in range(lm.bit_length()):
+            if lm >> bit & 1:
+                vf = Poly(f.universe, _mul_mono(f.monomial_masks, 1 << bit))
+                if not normal_form(vf, G).is_zero:
+                    return False
     return True

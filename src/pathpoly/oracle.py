@@ -16,9 +16,8 @@ meaningful check of the compiler and the counting back ends.
 """
 from __future__ import annotations
 
-from .amplitudes import MATRIX_QUBIT_CAP, ExactMatrix
+from .amplitudes import ExactMatrix, _check_matrix_cap
 from .circuit import Circuit
-from .errors import CapExceeded
 
 
 def circuit_unitary(circuit: Circuit) -> ExactMatrix:
@@ -28,8 +27,7 @@ def circuit_unitary(circuit: Circuit) -> ExactMatrix:
     scale sqrt(2)^(-h) is attached once, at the end.
     """
     n = circuit.n_qubits
-    if n > MATRIX_QUBIT_CAP:
-        raise CapExceeded(f"dense unitary over {n} qubits exceeds the cap of {MATRIX_QUBIT_CAP}")
+    _check_matrix_cap(n)
     dim = 1 << n
     rows = [list(row) for row in ExactMatrix.identity(dim).entries]
     for chains, hadamards in circuit.steps:

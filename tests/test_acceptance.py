@@ -93,7 +93,7 @@ def test_criterion_3_groebner_reproduction():
     G1 = buchberger(f1)
     for text in KNOWN_G0:
         assert normal_form(Poly.parse(text, UDEMO), G0).is_zero
-    g1_generators = [Poly.parse(KNOWN_G0[0], UDEMO) + 1] + [
+    g1_generators = [Poly.parse(KNOWN_G0[0] + " + 1", UDEMO)] + [
         Poly.parse(t, UDEMO) for t in KNOWN_G0[1:]
     ]
     for g in g1_generators:

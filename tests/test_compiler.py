@@ -14,7 +14,6 @@ from pathpoly import (
     Poly,
     assemble_systems,
     bit_label,
-    column_states,
     compile_circuit,
     count_groebner,
     input_var,
@@ -70,7 +69,7 @@ def test_assemble_symbolic(demo_system):
         DEMO_PHASE,
     ]
     assert f1[:3] == f0[:3]
-    assert f1[3] == f0[3] + 1
+    assert f1[3] == Poly.parse(DEMO_PHASE + " + 1", demo_system.universe)
 
 
 def test_assemble_bound_all_zero(demo_system):
@@ -123,18 +122,6 @@ def test_compile_is_deterministic(demo_circuit):
     second = compile_circuit(demo_circuit)
     assert first.row_polys == second.row_polys
     assert first.phase == second.phase
-
-
-@settings(max_examples=60, deadline=None)
-@given(circuits())
-def test_prefix_locality(c):
-    states = list(column_states(c))
-    for j in range(1, c.n_columns + 1):
-        prefix = Circuit(c.n_qubits, j, tuple(row[:j] for row in c.grid))
-        ps = compile_circuit(prefix)
-        rows_j, phase_j = states[j - 1]
-        assert [str(p) for p in ps.row_polys] == [str(p) for p in rows_j]
-        assert str(ps.phase) == str(phase_j)
 
 
 def strip_hadamards(c: Circuit) -> Circuit:
