@@ -48,15 +48,7 @@ from .compiler import (
     parse_bits,
 )
 from .errors import CapExceeded
-from .gf2poly import (
-    Poly,
-    Variable,
-    VarKind,
-    VarUniverse,
-    input_var,
-    output_var,
-    path_var,
-)
+from .gf2poly import Poly, VarUniverse
 from .groebner import (
     buchberger,
     is_groebner_basis,
@@ -87,9 +79,7 @@ __all__ = [
     "Poly",
     "PolySystem",
     "ROOT_COUNT_VARIABLE_CAP",
-    "VarKind",
     "VarUniverse",
-    "Variable",
     "assemble_systems",
     "bit_label",
     "buchberger",
@@ -102,13 +92,10 @@ __all__ = [
     "element",
     "format_circuit",
     "full_matrix",
-    "input_var",
     "is_groebner_basis",
     "normal_form",
-    "output_var",
     "parse_bits",
     "parse_circuit",
-    "path_var",
     "place_hadamard",
     "place_toffoli",
     "random_circuit",

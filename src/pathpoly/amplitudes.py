@@ -25,7 +25,7 @@ from typing import Sequence
 from .circuit import Circuit
 from .compiler import PolySystem, compile_circuit, parse_bits
 from .errors import CapExceeded
-from .gf2poly import _mul, input_var
+from .gf2poly import _mul
 from .groebner import _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
@@ -164,7 +164,7 @@ def _bound_x_masks(
     substituting the a_i every mask shifts right by 2n into a compact
     h-variable mask space with x_k on bit h-k.
     """
-    bindings = {input_var(i): bit for i, bit in enumerate(abits, 1)}
+    bindings = {f"a{i}": bit for i, bit in enumerate(abits, 1)}
     shift = 2 * ps.n
     rows = [
         tuple(m >> shift for m in p.substitute(bindings).monomial_masks)

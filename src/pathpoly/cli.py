@@ -118,7 +118,7 @@ def export_system(ps: PolySystem, fmt: str) -> str:
     f0, _ = assemble_systems(ps)
     names = [f"f{i}" for i in range(1, ps.n + 1)] + ["phi"]
     return template.format(
-        vars=", ".join(str(v) for v in ps.universe.variables),
+        vars=", ".join(ps.universe.variables),
         body=sep.join(line.format(name=n, poly=p) for n, p in zip(names, f0)),
     )
 

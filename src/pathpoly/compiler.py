@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .circuit import Circuit
 from .errors import CapExceeded
-from .gf2poly import Poly, VarUniverse, _mul, _mul_mono, input_var, output_var, path_var
+from .gf2poly import Poly, VarUniverse, _mul, _mul_mono
 
 # Most term pairs one control-row product may form.  The benchmark's deep
 # compiles (40-80 columns, up to 3 controls) form at most about 2*10^4; a
@@ -58,7 +58,7 @@ def compile_circuit(circuit: Circuit) -> PolySystem:
     row's own set, which is only read.
     """
     universe = VarUniverse.for_circuit(circuit.h, circuit.n_qubits)
-    rows = [{1 << universe.bit(input_var(i))} for i in range(1, circuit.n_qubits + 1)]
+    rows = [{1 << universe.bit(f"a{i}")} for i in range(1, circuit.n_qubits + 1)]
     phase: set[int] = set()
     k = 0
     for c, (chains, hadamards) in enumerate(circuit.steps, 1):
@@ -76,7 +76,7 @@ def compile_circuit(circuit: Circuit) -> PolySystem:
             rows[chain.target - 1] ^= signal
         for r in hadamards:
             k += 1
-            x = 1 << universe.bit(path_var(k))
+            x = 1 << universe.bit(f"x{k}")
             phase ^= _mul_mono(rows[r - 1], x)
             rows[r - 1] = {x}
     return PolySystem(
@@ -117,11 +117,11 @@ def assemble_systems(
     bindings: dict = {}
     if a is not None:
         for i, bit in enumerate(parse_bits(a, ps.n, "a"), 1):
-            bindings[input_var(i)] = bit
+            bindings[f"a{i}"] = bit
     if b is not None:
         b_terms = [(0,) if bit else () for bit in parse_bits(b, ps.n, "b")]
     else:
-        b_terms = [(1 << universe.bit(output_var(i)),) for i in range(1, ps.n + 1)]
+        b_terms = [(1 << universe.bit(f"b{i}"),) for i in range(1, ps.n + 1)]
     rows = [p.substitute(bindings) if bindings else p for p in ps.row_polys]
     phase = ps.phase.substitute(bindings) if bindings else ps.phase
     f = tuple(Poly(universe, row.monomial_masks + term) for row, term in zip(rows, b_terms))

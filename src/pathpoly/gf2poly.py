@@ -2,7 +2,9 @@
 
 Everything lives in the Boolean quotient ring Z2[v1..vk]/<v_i^2 - v_i>, so a
 monomial is a squarefree product of variables and a polynomial is an XOR of
-distinct monomials.  A universe fixes the precedence order of its variables;
+distinct monomials.  A variable is its name: "x3" for the path variable x_3,
+"a1" and "b12" for an input and an output.  A universe holds a sequence of
+names, checks each once when it is built, and fixes their precedence order;
 each variable is assigned one bit position, with the highest-precedence
 variable on the most significant bit.  A monomial is then a bitmask, and
 comparing two masks as plain integers is exactly the lexicographic order on
@@ -24,134 +26,94 @@ terms.  A monomial is a one-term `Poly`, as `Poly.leading_monomial` returns
 it.
 
 Printing costs O(degree) per monomial, independent of the universe size: a
-universe builds its bit-indexed table of variables and names once, and a
-mask is read from its top set bit down, one `int.bit_length` per variable.
+universe builds its bit-indexed table of names once, and a mask is read from
+its top set bit down, one `int.bit_length` per variable.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 from typing import Collection, Iterable, Mapping
 
 
-class VarKind(Enum):
-    """The three variable families: path (x), input (a), output (b)."""
-
-    PATH = "x"
-    INPUT = "a"
-    OUTPUT = "b"
+# The variable names: path x_k, input a_i and output b_i, indices from 1.
+_NAME = re.compile(r"[xab][1-9][0-9]*")
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    """A named indeterminate such as x3, a1 or b2.  Indices start at 1."""
-
-    kind: VarKind
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}{self.index}"
-
-    def __repr__(self) -> str:
-        return f"Variable({self})"
-
-    @classmethod
-    def parse(cls, token: str) -> "Variable":
-        """Parse a token like 'x12' into a Variable."""
-        m = re.fullmatch(r"([xab])([0-9]+)", token)
-        if m is None or m.group(2).startswith("0"):
-            raise ValueError(f"not a variable token: {token!r}")
-        return cls(VarKind(m.group(1)), int(m.group(2)))
-
-
-def path_var(index: int) -> Variable:
-    return Variable(VarKind.PATH, index)
-
-
-def input_var(index: int) -> Variable:
-    return Variable(VarKind.INPUT, index)
-
-
-def output_var(index: int) -> Variable:
-    return Variable(VarKind.OUTPUT, index)
+def _check_name(token: object) -> str:
+    if not isinstance(token, str) or _NAME.fullmatch(token) is None:
+        raise ValueError(f"not a variable token: {token!r}")
+    return token
 
 
 class VarUniverse:
-    """An ordered registry of distinct variables, highest precedence first.
+    """An ordered registry of distinct variable names, highest precedence first.
 
-    The variable at position i of the sequence owns bit (size-1-i), so the
-    first (highest) variable sits on the most significant bit and integer
-    comparison of monomial masks realises the lexicographic term order.
+    A variable is its name: x_k, a_i or b_i with an index from 1, such as
+    "x3", "a1" or "b12".  Every name is checked once, here, so every variable
+    a Poly can mention is well formed.  The name at position i of the
+    sequence owns bit (size-1-i), so the first (highest) variable sits on the
+    most significant bit and integer comparison of monomial masks realises
+    the lexicographic term order.
     """
 
-    __slots__ = ("variables", "_bits", "_by_bit", "_names", "_hash")
+    __slots__ = ("variables", "_bits", "_by_bit")
 
-    def __init__(self, variables: Iterable[Variable]):
-        vs = tuple(variables)
+    def __init__(self, names: Iterable[str]):
+        vs = tuple(map(_check_name, names))
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variables in universe")
         self.variables = vs
         size = len(vs)
         self._bits = {v: size - 1 - i for i, v in enumerate(vs)}
         self._by_bit = vs[::-1]
-        self._names = tuple(str(v) for v in self._by_bit)
-        self._hash = hash(vs)
 
     @classmethod
     def for_circuit(cls, h: int, n: int) -> "VarUniverse":
         """The standard universe x1..xh, a1..an, b1..bn in that precedence."""
         return cls(
-            [path_var(i) for i in range(1, h + 1)]
-            + [input_var(i) for i in range(1, n + 1)]
-            + [output_var(i) for i in range(1, n + 1)]
+            [f"x{i}" for i in range(1, h + 1)]
+            + [f"a{i}" for i in range(1, n + 1)]
+            + [f"b{i}" for i in range(1, n + 1)]
         )
 
     @classmethod
     def of_paths(cls, h: int) -> "VarUniverse":
         """A universe holding only the path variables x1..xh."""
-        return cls([path_var(i) for i in range(1, h + 1)])
+        return cls(f"x{i}" for i in range(1, h + 1))
 
     @property
     def size(self) -> int:
         return len(self.variables)
 
-    def __contains__(self, v: Variable) -> bool:
+    def __contains__(self, v: str) -> bool:
         return v in self._bits
 
-    def bit(self, v: Variable) -> int:
+    def bit(self, v: str) -> int:
         """Bit position owned by v (0 = least significant)."""
         try:
             return self._bits[v]
         except KeyError:
             raise ValueError(f"variable {v} not in universe") from None
 
-    def mask_of(self, variables: Iterable[Variable]) -> int:
+    def mask_of(self, variables: Iterable[str]) -> int:
         mask = 0
         for v in variables:
             mask |= 1 << self.bit(v)
         return mask
 
-    def variables_of(self, mask: int) -> tuple[Variable, ...]:
+    def variables_of(self, mask: int) -> tuple[str, ...]:
         """Variables of a monomial mask, highest precedence first."""
         return tuple(_top_down(self._by_bit, mask))
 
     def monomial_str(self, mask: int) -> str:
         """Display form of a monomial mask: its names joined by '*', or '1'."""
-        return "*".join(_top_down(self._names, mask)) if mask else "1"
+        return "*".join(_top_down(self._by_bit, mask)) if mask else "1"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VarUniverse) and self.variables == other.variables
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
-        return f"VarUniverse({', '.join(map(str, self.variables))})"
+        return f"VarUniverse({', '.join(self.variables)})"
 
 
 def _top_down(table: tuple, mask: int) -> list:
@@ -213,10 +175,6 @@ class Poly:
     def one(cls, universe: VarUniverse) -> "Poly":
         return cls(universe, (0,))
 
-    @classmethod
-    def variable(cls, universe: VarUniverse, v: Variable) -> "Poly":
-        return cls(universe, (1 << universe.bit(v),))
-
     @property
     def monomial_masks(self) -> tuple[int, ...]:
         """Masks in descending order; the canonical internal form."""
@@ -234,7 +192,7 @@ class Poly:
         return max(m.bit_count() for m in self._masks)
 
     @property
-    def variables(self) -> tuple[Variable, ...]:
+    def variables(self) -> tuple[str, ...]:
         """The support: variables occurring in some monomial."""
         support = 0
         for m in self._masks:
@@ -254,13 +212,10 @@ class Poly:
             and self._masks == other._masks
         )
 
-    def __hash__(self) -> int:
-        return hash((self.universe, self._masks))
-
     def __bool__(self) -> bool:
         return bool(self._masks)
 
-    def evaluate(self, point: Mapping[Variable, int]) -> int:
+    def evaluate(self, point: Mapping[str, int]) -> int:
         """Value in {0,1} at a point binding every variable of the support."""
         ones = 0
         bound = 0
@@ -281,7 +236,7 @@ class Poly:
             parity ^= (m & ~ones) == 0
         return parity
 
-    def substitute(self, bindings: Mapping[Variable, int]) -> "Poly":
+    def substitute(self, bindings: Mapping[str, int]) -> "Poly":
         """Bind variables to the constants 0 and 1.
 
         A monomial containing a variable bound to 0 drops out, and a variable
@@ -326,8 +281,8 @@ class Poly:
             if any(not f for f in factors):
                 raise ValueError(f"empty factor in term {chunk!r}")
             terms.append(factors)
-        parsed: list[list[Variable] | int] = []
-        mentioned: set[Variable] = set()
+        parsed: list[list[str] | int] = []
+        mentioned: set[str] = set()
         for factors in terms:
             if factors == ["1"]:
                 parsed.append(1)
@@ -335,11 +290,11 @@ class Poly:
             if factors == ["0"]:
                 parsed.append(0)
                 continue
-            vs = [Variable.parse(f) for f in factors]
+            vs = [_check_name(f) for f in factors]
             mentioned.update(vs)
             parsed.append(vs)
         if universe is None:
-            ordered = sorted(mentioned, key=lambda v: (list(VarKind).index(v.kind), v.index))
+            ordered = sorted(mentioned, key=lambda v: ("xab".index(v[0]), int(v[1:])))
             universe = VarUniverse(ordered)
         masks: list[int] = []
         for term in parsed:

@@ -28,7 +28,6 @@ from pathpoly import (
     is_groebner_basis,
     normal_form,
     parse_circuit,
-    path_var,
     random_circuit,
     row_counts,
 )
@@ -99,7 +98,7 @@ def test_criterion_3_groebner_reproduction():
     for g in g1_generators:
         assert normal_form(g, G1).is_zero
     assert is_groebner_basis(G0) and is_groebner_basis(G1)
-    paths = [path_var(i) for i in range(1, 5)]
+    paths = [f"x{i}" for i in range(1, 5)]
     for a in range(8):
         for b in range(8):
             abits, bbits = bit_label(a, 3), bit_label(b, 3)

@@ -17,6 +17,7 @@ from pathpoly import (
     ExactMatrix,
     Method,
     Poly,
+    ROOT_COUNT_VARIABLE_CAP,
     VarUniverse,
     assemble_systems,
     bit_label,
@@ -308,7 +309,7 @@ def test_mirrored_circuits_are_the_identity_past_the_oracle_cap():
         if c.n_qubits >= 11:
             kept.append(c)
     for c in kept:
-        mirror = Circuit(c.n_qubits, 2 * c.n_columns, tuple(row + row[::-1] for row in c.grid))
+        mirror = _mirror(c)
         a = [rng.randint(0, 1) for _ in range(c.n_qubits)]
         b = list(a)
         b[rng.randrange(c.n_qubits)] ^= 1
@@ -316,19 +317,27 @@ def test_mirrored_circuits_are_the_identity_past_the_oracle_cap():
         assert element(mirror, a, b) == Amplitude(0)
 
 
-def _h_toffoli_h(rng: random.Random) -> Circuit:
-    """An all-H column, 2-4 columns of Toffoli chains, an all-H column."""
-    n = rng.randint(3, 4)
-    columns = [["H"] * n]
-    for _ in range(rng.randint(2, 4)):
-        length = rng.randint(3, n)
-        top = rng.randint(0, n - length)
-        column = ["I"] * n
-        if rng.random() < 0.5:
-            column[top : top + length] = ["Iv", *["Mv"] * (length - 2), "Av"]
-        else:
-            column[top : top + length] = ["A^", *["M^"] * (length - 2), "I^"]
-        columns.append(column)
+def _mirror(c: Circuit) -> Circuit:
+    """C followed by its columns in reverse order: every column is its own
+    inverse, so <b|U|a> = [a = b], at any n."""
+    return Circuit(c.n_qubits, 2 * c.n_columns, tuple(row + row[::-1] for row in c.grid))
+
+
+def _h_toffoli_h(rng: random.Random, n: int, rounds: int) -> Circuit:
+    """rounds x (an all-H column, 2-3 columns of Toffoli chains), then an
+    all-H column: h = n * (rounds + 1)."""
+    columns = []
+    for _ in range(rounds):
+        columns.append(["H"] * n)
+        for _ in range(rng.randint(2, 3)):
+            length = rng.randint(3, n)
+            top = rng.randint(0, n - length)
+            column = ["I"] * n
+            if rng.random() < 0.5:
+                column[top : top + length] = ["Iv", *["Mv"] * (length - 2), "Av"]
+            else:
+                column[top : top + length] = ["A^", *["M^"] * (length - 2), "I^"]
+            columns.append(column)
     columns.append(["H"] * n)
     rows = "".join(" ".join(col[r] for col in columns) + "\n" for r in range(n))
     return parse_circuit(f"qubits {n}\ncolumns {len(columns)}\n{rows}")
@@ -340,8 +349,36 @@ def test_three_way_agreement_on_h_toffoli_h_circuits():
     # residual system still goes to Buchberger on every binding
     rng = random.Random(6)
     for _ in range(12):
-        c = _h_toffoli_h(rng)
+        c = _h_toffoli_h(rng, rng.randint(3, 4), 1)
         assert full_matrix(c, Method.GB) == full_matrix(c, Method.BRUTE) == circuit_unitary(c)
+
+
+def test_layered_h_toffoli_circuits_and_their_mirrors():
+    # the hard structured family: 1-3 rounds at h <= 12.  Groebner counting
+    # is left out on the layered circuits themselves, where one GB matrix at
+    # n = 4, h = 12 takes seconds; their mirrors (h <= 24) are the identity,
+    # and those past the root-count cap are brute force's alone
+    rng = random.Random(23)
+    for n, rounds in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (6, 1)):
+        c = _h_toffoli_h(rng, n, rounds)
+        assert c.h == n * (rounds + 1) <= 12
+        assert full_matrix(c, Method.BRUTE) == circuit_unitary(c)
+        mirror = _mirror(c)
+        a = [rng.randint(0, 1) for _ in range(n)]
+        b = list(a)
+        b[rng.randrange(n)] ^= 1
+        assert element(mirror, a, a) == Amplitude(1)
+        assert element(mirror, a, b) == Amplitude(0)
+        if mirror.h > ROOT_COUNT_VARIABLE_CAP:
+            with pytest.raises(CapExceeded, match=f"root counting over {mirror.h} variables"):
+                element(mirror, a, a, Method.GB)
+
+
+def test_layered_n4_mirror_file_is_the_seeded_recipe():
+    # the recipe in the file's header
+    checked_in = parse_circuit((CIRCUITS / "layered_n4_mirror.qc").read_text(encoding="utf-8"))
+    assert checked_in == _mirror(_h_toffoli_h(random.Random(4), 4, 2))
+    assert (checked_in.n_qubits, checked_in.h) == (4, 24)
 
 
 # rendering

@@ -37,6 +37,7 @@ DEMO_PATH = str(CIRCUITS / "demo_n3.qc")
 GOLDEN_N8_PATH = str(CIRCUITS / "golden_n8.qc")
 BLOWUP_PATH = str(CIRCUITS / "blowup_n10.qc")
 REFUSED_PATH = str(CIRCUITS / "compile_refused_n8.qc")
+LAYERED_MIRROR_PATH = str(CIRCUITS / "layered_n4_mirror.qc")
 
 COMPILE_OUTPUT = """\
 b1 = x2*x4 + x3
@@ -208,6 +209,15 @@ def test_root_count_cap_refuses_before_compiling(capsys):
     code, out, err = run(capsys, "element", BLOWUP_PATH, "--a", bits, "--b", bits, "--method", "gb")
     assert (code, out) == (2, "")
     assert err.startswith("error: root counting over 41 variables")
+
+
+def test_layered_mirror_gets_a_brute_force_answer_past_the_root_count_cap(capsys):
+    # n = 4, h = 24: the mirrored H / Toffoli-network family is the identity
+    bits = ("--a", "0110", "--b", "0110")
+    assert run(capsys, "element", LAYERED_MIRROR_PATH, *bits, "--method", "brute") == (0, "1\n", "")
+    code, out, err = run(capsys, "element", LAYERED_MIRROR_PATH, *bits, "--method", "gb")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: root counting over 24 variables")
 
 
 def test_compile_refused_circuit_gets_a_brute_force_answer(capsys):

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathpoly import (
-    Poly,
-    Variable,
-    VarKind,
-    VarUniverse,
-    input_var,
-    output_var,
-    path_var,
-)
+from pathpoly import Poly, VarUniverse
 from pathpoly.gf2poly import _mul
 
 from conftest import path_universes, points_over, polys_over, universe_and_polys
@@ -33,28 +25,39 @@ def masks(text: str, universe: VarUniverse = UDEMO) -> set[int]:
 # variables and universes
 
 def test_variable_parse_and_str():
-    assert Variable.parse("x3") == path_var(3)
-    assert Variable.parse("a1") == input_var(1)
-    assert Variable.parse("b12") == output_var(12)
-    assert str(path_var(7)) == "x7"
-    assert path_var(2).kind is VarKind.PATH
+    # a variable is its name: the universe keeps it, Poly prints and parses it
+    u = VarUniverse(["x3", "a1", "b12", "x7"])
+    assert u.variables == ("x3", "a1", "b12", "x7")
+    assert [str(Poly.parse(v, u)) for v in u.variables] == ["x3", "a1", "b12", "x7"]
+    assert Poly.parse("b12 + x7 + a1 + x3").universe.variables == ("x3", "x7", "a1", "b12")
 
 
 @pytest.mark.parametrize("bad", ["x0", "c3", "x01", "x", "X1", "a-1", "1x"])
 def test_variable_parse_rejects(bad):
-    with pytest.raises(ValueError):
-        Variable.parse(bad)
+    # names are checked once, where a universe is built, and by Poly.parse
+    with pytest.raises(ValueError, match="not a variable token"):
+        VarUniverse(["x1", bad])
+    with pytest.raises(ValueError, match="not a variable token"):
+        Poly.parse(f"x1 + {bad}")
+    with pytest.raises(ValueError, match="not a variable token"):
+        Poly.parse(f"x1*{bad}", UDEMO)
+
+
+@pytest.mark.parametrize("bad", [1, None, b"x1", ("x", 1)], ids=["int", "none", "bytes", "tuple"])
+def test_universe_rejects_non_str_names(bad):
+    with pytest.raises(ValueError, match="not a variable token"):
+        VarUniverse(["x1", bad])
 
 
 def test_universe_for_circuit_layout():
     u = VarUniverse.for_circuit(2, 1)
-    assert u.variables == (path_var(1), path_var(2), input_var(1), output_var(1))
+    assert u.variables == ("x1", "x2", "a1", "b1")
     assert u.size == 4
-    assert path_var(1) in u and output_var(2) not in u
+    assert "x1" in u and "b2" not in u
 
 
 def test_universe_mask_round_trip():
-    vs = (path_var(2), input_var(1))
+    vs = ("x2", "a1")
     mask = UDEMO.mask_of(vs)
     assert set(UDEMO.variables_of(mask)) == set(vs)
     assert UDEMO.mask_of(UDEMO.variables_of(mask)) == mask
@@ -62,18 +65,18 @@ def test_universe_mask_round_trip():
 
 def test_universe_rejects_duplicates():
     with pytest.raises(ValueError):
-        VarUniverse((path_var(1), path_var(1)))
+        VarUniverse(("x1", "x1"))
 
 
 # monomials
 
 def test_monomial_basics():
-    m = Poly(UDEMO, (UDEMO.mask_of([path_var(2), path_var(4)]),))
+    m = Poly(UDEMO, (UDEMO.mask_of(["x2", "x4"]),))
     assert m.degree == 2
     assert str(m) == "x2*x4"
     assert str(Poly.one(UDEMO)) == "1"
-    prod = Poly(UDEMO, _mul(m.monomial_masks, (UDEMO.mask_of([path_var(2), input_var(1)]),)))
-    assert set(prod.variables) == {path_var(2), path_var(4), input_var(1)}
+    prod = Poly(UDEMO, _mul(m.monomial_masks, (UDEMO.mask_of(["x2", "a1"]),)))
+    assert set(prod.variables) == {"x2", "x4", "a1"}
 
 
 # addition: symmetric difference of mask sets
@@ -83,7 +86,7 @@ def test_add_cancels_shared_monomials():
 
 
 def test_add_output_variable_forms_row_constraint():
-    b1 = set(Poly.variable(UDEMO, output_var(1)).monomial_masks)
+    b1 = masks("b1")
     assert str(Poly(UDEMO, masks("x2*x4 + x3") ^ b1)) == "x2*x4 + x3 + b1"
 
 
@@ -113,12 +116,12 @@ def test_mul_distinct_variables():
 
 def test_substitute_constants():
     q = p("x1*a1 + x2*a2")
-    assert q.substitute({input_var(1): 1, input_var(2): 0}) == p("x1")
+    assert q.substitute({"a1": 1, "a2": 0}) == p("x1")
 
 
 def test_substitute_phase_term():
     q = p("x4*a3 + x1*x2*x4")
-    assert q.substitute({input_var(3): 0}) == p("x1*x2*x4")
+    assert q.substitute({"a3": 0}) == p("x1*x2*x4")
 
 
 def test_substitute_empty_is_identity():
@@ -128,13 +131,13 @@ def test_substitute_empty_is_identity():
 @pytest.mark.parametrize("value", [p("x2", U4), 2], ids=["poly", "two"])
 def test_substitute_rejects_non_constants(value):
     with pytest.raises(ValueError):
-        p("x1 + x2", U4).substitute({path_var(1): value})
+        p("x1 + x2", U4).substitute({"x1": value})
 
 
 # evaluation
 
 def test_evaluate_examples():
-    assert p("x2*x4 + x3").evaluate({path_var(2): 1, path_var(3): 1, path_var(4): 1}) == 0
+    assert p("x2*x4 + x3").evaluate({"x2": 1, "x3": 1, "x4": 1}) == 0
     assert Poly.zero(UDEMO).evaluate({}) == 0
     phase = p("x1*a1 + x2*a2 + x1*x3 + x4*a3 + x1*x2*x4")
     zeros = {v: 0 for v in UDEMO.variables}
@@ -143,7 +146,7 @@ def test_evaluate_examples():
 
 def test_evaluate_requires_all_variables():
     with pytest.raises(ValueError):
-        p("x1*x2", U4).evaluate({path_var(1): 1})
+        p("x1*x2", U4).evaluate({"x1": 1})
 
 
 # leading monomials: lex by universe precedence
@@ -165,8 +168,8 @@ def test_leading_monomial_of_zero_fails():
 
 def test_block_elim_differs_from_lex_when_paths_rank_low():
     # another lex order is another universe: the same text, re-parsed
-    paths_low = VarUniverse((input_var(1), path_var(1)))
-    paths_high = VarUniverse((path_var(1), input_var(1)))
+    paths_low = VarUniverse(("a1", "x1"))
+    paths_high = VarUniverse(("x1", "a1"))
     assert str(p("a1 + x1", paths_low).leading_monomial()) == "a1"
     assert str(p("a1 + x1", paths_high).leading_monomial()) == "x1"
 
@@ -239,14 +242,14 @@ def test_str_matches_display_syntax():
     assert str(Poly.one(U4)) == "1"
 
 
-def _scan_variables(universe: VarUniverse, mask: int) -> tuple[Variable, ...]:
+def _scan_variables(universe: VarUniverse, mask: int) -> tuple[str, ...]:
     """The definition: the variables whose bits are set, in precedence order."""
     size = universe.size
     return tuple(v for i, v in enumerate(universe.variables) if mask >> (size - 1 - i) & 1)
 
 
 def _reference_monomial(universe: VarUniverse, mask: int) -> str:
-    return "*".join(str(v) for v in _scan_variables(universe, mask)) or "1"
+    return "*".join(_scan_variables(universe, mask)) or "1"
 
 
 @st.composite
@@ -258,7 +261,7 @@ def display_universes(draw) -> VarUniverse:
         return VarUniverse(reversed(standard.variables))
     if kind == "parsed" and standard.size:
         mentioned = draw(st.lists(st.sampled_from(standard.variables), min_size=1, unique=True))
-        return Poly.parse(" + ".join(map(str, mentioned))).universe
+        return Poly.parse(" + ".join(mentioned)).universe
     return standard
 
 
@@ -284,7 +287,7 @@ def test_parse_accepts_xor_symbol():
 
 def test_parse_infers_universe():
     q = Poly.parse("x2*a1 + b1")
-    assert q.universe.variables == (path_var(2), input_var(1), output_var(1))
+    assert q.universe.variables == ("x2", "a1", "b1")
 
 
 @pytest.mark.parametrize("bad", ["x1 + + x2", "x1*", "*x1", "x0 + 1", "x1 x2", ""])
