@@ -42,12 +42,12 @@ from .circuit import (
 )
 from .compiler import (
     COMPILE_PRODUCT_CAP,
+    CapExceeded,
     PolySystem,
     assemble_systems,
     compile_circuit,
     parse_bits,
 )
-from .errors import CapExceeded
 from .gf2poly import Poly, VarUniverse
 from .groebner import (
     buchberger,

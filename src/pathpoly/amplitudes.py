@@ -23,8 +23,7 @@ from itertools import chain, product
 from typing import Sequence
 
 from .circuit import Circuit
-from .compiler import PolySystem, compile_circuit, parse_bits
-from .errors import CapExceeded
+from .compiler import CapExceeded, PolySystem, compile_circuit, parse_bits
 from .gf2poly import _mul
 from .groebner import _count_standard, _gb_masks
 
@@ -304,7 +303,8 @@ def _gb_pair(
 
 
 def _compile_for_roots(circuit: Circuit) -> PolySystem:
-    """Compile for root counting, refusing first when h passes the cap."""
+    """Compile for root counting, refusing first when h passes the cap;
+    count_groebner, full_matrix and the cli's gb verb all compile here."""
     if circuit.h > ROOT_COUNT_VARIABLE_CAP:
         raise CapExceeded(
             f"root counting over {circuit.h} variables exceeds the cap of {ROOT_COUNT_VARIABLE_CAP}"

@@ -78,16 +78,14 @@ class PlacementConflict(CircuitError):
 
 @dataclass(frozen=True, slots=True)
 class Chain:
-    """One vertical signal: source row, multiply rows, and the add-gate target.
+    """One vertical signal: the add-gate target row and its control rows.
 
     controls lists the rows whose values are multiplied into the signal
     (the source row plus all multiply rows), ascending.
     """
 
-    source: int
     target: int
     controls: tuple[int, ...]
-    descending: bool
 
 
 # (emit, multiply, add) gates of a chain, by direction (descending or not)
@@ -119,9 +117,7 @@ def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[
         elif g is add_gate:
             if source is None:
                 raise BrokenChain(column_index, r, "missing-source")
-            chains.append(
-                Chain(source, r, tuple(sorted([source, *muls])), descending)
-            )
+            chains.append(Chain(r, tuple(sorted([source, *muls]))))
             source = None
         elif g is Gate.CROSS:
             pass
@@ -134,13 +130,15 @@ def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[
 
 
 def column_chains(column: Sequence[Gate], column_index: int = 1) -> tuple[Chain, ...]:
-    """All vertical chains of a column, sorted by source row.
+    """All vertical chains of a column, top to bottom.
 
-    Raises BrokenChain unless every vertical signal is well-formed.
+    Chains of one column span disjoint rows, so sorting by target row orders
+    them as any other row of each span would.  Raises BrokenChain unless
+    every vertical signal is well-formed.
     """
     down = _sweep(column, column_index, descending=True)
     up = _sweep(column, column_index, descending=False)
-    return tuple(sorted(down + up, key=lambda ch: ch.source))
+    return tuple(sorted(down + up, key=lambda ch: ch.target))
 
 
 @dataclass(frozen=True)

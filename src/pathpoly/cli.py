@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .amplitudes import (
     Method,
+    _compile_for_roots,
     count_paths,
     element,
     full_matrix,
@@ -19,8 +20,7 @@ from .amplitudes import (
     render_matrix_table,
 )
 from .circuit import Circuit, CircuitError, parse_circuit
-from .compiler import PolySystem, assemble_systems, compile_circuit
-from .errors import CapExceeded
+from .compiler import CapExceeded, PolySystem, assemble_systems, compile_circuit
 from .groebner import buchberger
 
 EXIT_OK = 0
@@ -146,7 +146,7 @@ def _run(args: argparse.Namespace) -> None:
         else:
             print(render_matrix_table(matrix, circuit.n_qubits), end="")
     elif args.verb == "gb":
-        ps = compile_circuit(circuit)
+        ps = _compile_for_roots(circuit)
         bind = _parse_bind(args.bind)
         f0, f1 = assemble_systems(ps, a=bind.get("a"), b=bind.get("b"))
         for label, system in (("G0", f0), ("G1", f1)):

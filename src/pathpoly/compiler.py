@@ -20,13 +20,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .circuit import Circuit
-from .errors import CapExceeded
 from .gf2poly import Poly, VarUniverse, _mul, _mul_mono
 
 # Most term pairs one control-row product may form.  The benchmark's deep
 # compiles (40-80 columns, up to 3 controls) form at most about 2*10^4; a
 # product at the cap takes well under a second.
 COMPILE_PRODUCT_CAP = 10**6
+
+
+class CapExceeded(RuntimeError):
+    """A resource cap (brute-force paths, matrix qubits, root-count variables
+    or a compile product) was exceeded."""
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ kernels, not with `Poly`.
 `Poly` is the only polynomial type, and it is a value with no operators: it
 is built, inspected, bound to constants (`Poly.substitute`), evaluated,
 printed and parsed.  Its constructor is the one place that cancels and sorts
-terms.  A monomial is a one-term `Poly`, as `Poly.leading_monomial` returns
-it.
+terms, and truthiness is its one emptiness test: the zero polynomial is
+falsy.
 
 Printing costs O(degree) per monomial, independent of the universe size: a
 universe builds its bit-indexed table of names once, and a mask is read from
@@ -149,9 +149,6 @@ def _mul(p: Collection[int], q: Iterable[int]) -> set[int]:
     return out
 
 
-_TERM_SPLIT = re.compile(r"\+|⊕")
-
-
 class Poly:
     """A canonical Z2 polynomial: a descending tuple of distinct monomial masks.
 
@@ -167,22 +164,10 @@ class Poly:
         self.universe = universe
         self._masks = tuple(sorted(_mul_mono(masks, 0), reverse=True))
 
-    @classmethod
-    def zero(cls, universe: VarUniverse) -> "Poly":
-        return cls(universe)
-
-    @classmethod
-    def one(cls, universe: VarUniverse) -> "Poly":
-        return cls(universe, (0,))
-
     @property
     def monomial_masks(self) -> tuple[int, ...]:
         """Masks in descending order; the canonical internal form."""
         return self._masks
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._masks
 
     @property
     def degree(self) -> int:
@@ -190,20 +175,6 @@ class Poly:
         if not self._masks:
             return -1
         return max(m.bit_count() for m in self._masks)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """The support: variables occurring in some monomial."""
-        support = 0
-        for m in self._masks:
-            support |= m
-        return self.universe.variables_of(support)
-
-    def leading_monomial(self) -> "Poly":
-        """Largest monomial in lex by the universe's precedence, as a one-term Poly."""
-        if not self._masks:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return Poly(self.universe, self._masks[:1])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -263,7 +234,7 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str, universe: VarUniverse | None = None) -> "Poly":
-        """Parse display syntax like 'x1*x2 + a1 + 1' (⊕ also accepted as +).
+        """Parse display syntax like 'x1*x2 + a1 + 1'.
 
         With no universe given, one is inferred from the mentioned variables
         in the standard precedence (paths, then inputs, then outputs, each by
@@ -273,7 +244,7 @@ class Poly:
         stripped = text.strip()
         if not stripped:
             raise ValueError("empty polynomial text")
-        for chunk in _TERM_SPLIT.split(stripped):
+        for chunk in stripped.split("+"):
             chunk = chunk.strip()
             if not chunk:
                 raise ValueError(f"empty term in polynomial text: {text!r}")

@@ -159,14 +159,14 @@ def _require_universe(polys: Sequence[Poly]) -> VarUniverse:
 def normal_form(p: Poly, G: Sequence[Poly]) -> Poly:
     """Fully reduce p by G: no monomial of the result is divisible by any LM(g)."""
     universe = _require_universe((p, *G))
-    basis = [g.monomial_masks for g in G if not g.is_zero]
+    basis = [g.monomial_masks for g in G if g]
     return Poly(universe, _nf(p.monomial_masks, [b[0] for b in basis], basis))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     """S-polynomial lcm/LM(f)*f + lcm/LM(g)*g in the Boolean ring."""
     universe = _require_universe((f, g))
-    if f.is_zero or g.is_zero:
+    if not (f and g):
         raise ValueError("S-polynomial of the zero polynomial is undefined")
     fm, gm = f.monomial_masks, g.monomial_masks
     lcm = fm[0] | gm[0]
@@ -180,26 +180,26 @@ def buchberger(F: Iterable[Poly]) -> tuple[Poly, ...]:
     A reduced basis is unique for a fixed order, so two bases are equal
     exactly when their ideals are.  The zero ideal gives (), an inconsistent
     system (1,).  F must hold at least one polynomial, which fixes the
-    universe: pass [Poly.zero(U)] for the zero ideal over U.
+    universe: pass [Poly(U)] for the zero ideal over U.
     """
     polys = tuple(F)
     universe = _require_universe(polys)
-    basis = _gb_masks([p.monomial_masks for p in polys if not p.is_zero], universe.size)
+    basis = _gb_masks([p.monomial_masks for p in polys if p], universe.size)
     return tuple(Poly(universe, masks) for masks in basis)
 
 
 def is_groebner_basis(G: Sequence[Poly]) -> bool:
     """Check Buchberger's criterion: all S-polynomials (field pairs included)
     reduce to zero modulo G."""
-    gens = [g for g in G if not g.is_zero]
+    gens = [g for g in G if g]
     for i, f in enumerate(gens):
         for g in gens[i + 1 :]:
-            if not normal_form(s_polynomial(f, g), G).is_zero:
+            if normal_form(s_polynomial(f, g), G):
                 return False
         lm = f.monomial_masks[0]
         for bit in range(lm.bit_length()):
             if lm >> bit & 1:
                 vf = Poly(f.universe, _mul_mono(f.monomial_masks, 1 << bit))
-                if not normal_form(vf, G).is_zero:
+                if normal_form(vf, G):
                     return False
     return True

@@ -91,12 +91,12 @@ def test_criterion_3_groebner_reproduction():
     G0 = buchberger(f0)
     G1 = buchberger(f1)
     for text in KNOWN_G0:
-        assert normal_form(Poly.parse(text, UDEMO), G0).is_zero
+        assert not normal_form(Poly.parse(text, UDEMO), G0)
     g1_generators = [Poly.parse(KNOWN_G0[0] + " + 1", UDEMO)] + [
         Poly.parse(t, UDEMO) for t in KNOWN_G0[1:]
     ]
     for g in g1_generators:
-        assert normal_form(g, G1).is_zero
+        assert not normal_form(g, G1)
     assert is_groebner_basis(G0) and is_groebner_basis(G1)
     paths = [f"x{i}" for i in range(1, 5)]
     for a in range(8):

@@ -158,9 +158,10 @@ def test_validate_checks_length():
 def test_column_chains_reports_controls_and_target():
     chains = column_chains(col("Iv Mv Av A^ M^ I^"))
     assert len(chains) == 2
-    down, up = chains
-    assert (down.source, down.target, down.controls, down.descending) == (1, 3, (1, 2), True)
-    assert (up.source, up.target, up.controls, up.descending) == (6, 4, (5, 6), False)
+    assert [(ch.target, ch.controls) for ch in chains] == [(3, (1, 2)), (4, (5, 6))]
+    # top to bottom: an upward chain above a downward one comes first
+    chains = column_chains(col("A^ M^ I^ Iv Av"))
+    assert [(ch.target, ch.controls) for ch in chains] == [(1, (2, 3)), (5, (4,))]
 
 
 def test_validate_matches_segmentation_oracle_exhaustively():

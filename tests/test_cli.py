@@ -211,6 +211,16 @@ def test_root_count_cap_refuses_before_compiling(capsys):
     assert err.startswith("error: root counting over 41 variables")
 
 
+def test_gb_verb_refuses_at_the_root_count_cap(capsys, tmp_path):
+    # one qubit, h = 21: the gb verb is refused at the root-count cap, as
+    # element --method gb is, before anything compiles
+    path = tmp_path / "h21.qc"
+    path.write_text("qubits 1\ncolumns 21\n" + " ".join(["H"] * 21) + "\n")
+    code, out, err = run(capsys, "gb", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: root counting over 21 variables")
+
+
 def test_layered_mirror_gets_a_brute_force_answer_past_the_root_count_cap(capsys):
     # n = 4, h = 24: the mirrored H / Toffoli-network family is the identity
     bits = ("--a", "0110", "--b", "0110")

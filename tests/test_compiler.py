@@ -49,7 +49,7 @@ def test_toffoli_only_is_classical():
 
     ps = compile_circuit(place_toffoli(Circuit.empty(3, 1), 1, {1, 2}, 3))
     assert [str(p) for p in ps.row_polys] == ["a1", "a2", "a1*a2 + a3"]
-    assert ps.phase.is_zero
+    assert not ps.phase
 
 
 def test_path_variables_allocated_column_major():
@@ -96,8 +96,8 @@ def test_assemble_partial_binding(demo_system):
 def test_assemble_identity_circuit():
     ps = compile_circuit(Circuit.empty(3, 2))
     f0, f1 = assemble_systems(ps, a="010", b="010")
-    assert all(p.is_zero for p in f0)
-    assert f1[-1] == Poly.one(ps.universe)
+    assert not any(f0)
+    assert f1[-1] == Poly(ps.universe, (0,))
 
 
 def test_assemble_rejects_wrong_length(demo_system):
@@ -134,10 +134,11 @@ def strip_hadamards(c: Circuit) -> Circuit:
 @given(circuits(max_qubits=3))
 def test_hadamard_free_circuits_are_bijections(c):
     ps = compile_circuit(strip_hadamards(c))
-    assert ps.phase.is_zero
+    assert not ps.phase
     n = ps.n
     a_vars = [f"a{i}" for i in range(1, n + 1)]
-    assert all(set(p.variables) <= set(a_vars) for p in ps.row_polys)
+    a_mask = ps.universe.mask_of(a_vars)
+    assert all(m & ~a_mask == 0 for p in ps.row_polys for m in p.monomial_masks)
     images = set()
     for bits in itertools.product((0, 1), repeat=n):
         point = dict(zip(a_vars, bits))

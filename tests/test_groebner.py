@@ -47,13 +47,13 @@ def test_normal_form_of_member_is_zero():
     G = buchberger([p("x1*x2 + 1", U2)])
     # (x1*x2 + 1)*x2 + (x1 + 1)*x1
     member = p("x1*x2 + x2", U2)
-    assert normal_form(member, G).is_zero
+    assert not normal_form(member, G)
 
 
 def test_normal_form_of_row_constraint_against_symbolic_basis(demo_system):
     f0, _ = assemble_systems(demo_system)
     G0 = buchberger(f0)
-    assert normal_form(Poly.parse("x2*x4 + x3 + b1", UDEMO), G0).is_zero
+    assert not normal_form(Poly.parse("x2*x4 + x3 + b1", UDEMO), G0)
 
 
 def test_normal_form_is_idempotent_and_stable():
@@ -71,7 +71,7 @@ def test_buchberger_splits_product_constraint():
 
 
 def test_buchberger_of_unit_is_unit():
-    G = buchberger([Poly.one(U2)])
+    G = buchberger([Poly(U2, (0,))])
     assert [str(g) for g in G] == ["1"]
     assert basis_root_count(G, U2) == 0
 
@@ -82,10 +82,10 @@ def test_buchberger_detects_hidden_inconsistency():
 
 
 def test_buchberger_empty_and_zero_inputs():
-    # no polynomial, no universe: the zero ideal over U is [Poly.zero(U)]
+    # no polynomial, no universe: the zero ideal over U is [Poly(U)]
     with pytest.raises(ValueError):
         buchberger([])
-    G = buchberger([Poly.zero(U2)])
+    G = buchberger([Poly(U2)])
     assert G == ()
     assert basis_root_count(G, U2) == 4
 
@@ -94,13 +94,13 @@ def test_buchberger_symbolic_basis_contains_known_generators(demo_system):
     f0, f1 = assemble_systems(demo_system)
     G0 = buchberger(f0)
     for text in KNOWN_G0_GENERATORS:
-        assert normal_form(Poly.parse(text, UDEMO), G0).is_zero
+        assert not normal_form(Poly.parse(text, UDEMO), G0)
     G1 = buchberger(f1)
     known_g1 = [Poly.parse(KNOWN_G0_GENERATORS[0] + " + 1", UDEMO)] + [
         Poly.parse(t, UDEMO) for t in KNOWN_G0_GENERATORS[1:]
     ]
     for g in known_g1:
-        assert normal_form(g, G1).is_zero
+        assert not normal_form(g, G1)
     assert is_groebner_basis(G0)
     assert is_groebner_basis(G1)
     # reduced bases are unique, so unequal bases span unequal ideals
@@ -125,8 +125,8 @@ def test_basis_root_count_examples(demo_system):
     G = buchberger(f0)
     assert [str(g) for g in G] == ["x2", "x3", "x4"]
     assert basis_root_count(G, UDEMO, [f"x{i}" for i in range(1, 5)]) == 2
-    assert basis_root_count(buchberger([Poly.one(U4)]), U4) == 0
-    assert basis_root_count(buchberger([Poly.zero(U2)]), U2) == 4
+    assert basis_root_count(buchberger([Poly(U4, (0,))]), U4) == 0
+    assert basis_root_count(buchberger([Poly(U2)]), U2) == 4
 
 
 # property suite against the brute-force oracle
@@ -160,7 +160,7 @@ def test_is_groebner_basis_rejects_a_failed_field_pair_or_s_pair():
 def test_buchberger_idempotent(up):
     universe, polys = up
     G = buchberger(polys)
-    again = buchberger((Poly.zero(universe), *G))
+    again = buchberger((Poly(universe), *G))
     assert again == G
 
 
@@ -208,20 +208,20 @@ def test_basis_is_reduced(up):
 @given(universe_and_polys(max_vars=6, count=2, max_monomials=4))
 def test_s_polynomial_cancels_leading_terms(up):
     _, (f, g) = up
-    if f.is_zero or g.is_zero:
+    if not (f and g):
         return
     s = s_polynomial(f, g)
     lcm = f.monomial_masks[0] | g.monomial_masks[0]
-    if not s.is_zero:
+    if s:
         assert s.monomial_masks[0] < lcm
 
 
 def test_s_polynomial_of_zero_is_undefined():
     x1 = Poly.parse("x1", U2)
     with pytest.raises(ValueError, match="zero polynomial"):
-        s_polynomial(Poly.zero(U2), x1)
+        s_polynomial(Poly(U2), x1)
     with pytest.raises(ValueError, match="zero polynomial"):
-        s_polynomial(x1, Poly.zero(U2))
+        s_polynomial(x1, Poly(U2))
 
 
 # kernel cross-checks
@@ -301,7 +301,10 @@ def test_buchberger_root_count_matches_brute_force_over_16_variables():
     ]
     G = buchberger(polys)
     # support only touches the low 4 variables, so brute force stays cheap
-    support = sorted({v for q in polys for v in q.variables}, key=str)
-    sub = VarUniverse(v for v in u.variables if v in set(support))
+    support = 0
+    for q in polys:
+        for m in q.monomial_masks:
+            support |= m
+    sub = VarUniverse(u.variables_of(support))
     projected = [Poly.parse(str(q), sub) for q in polys]
     assert basis_root_count(G, u) == brute_root_count(projected, sub) << (16 - sub.size)
