@@ -23,7 +23,7 @@ from itertools import chain, product
 from typing import Sequence
 
 from .circuit import Circuit
-from .compiler import CapExceeded, PolySystem, compile_circuit, parse_bits
+from .compiler import CapExceeded, PolySystem, _bind_a, compile_circuit, parse_bits
 from .gf2poly import _mul
 from .groebner import _count_standard, _gb_masks
 
@@ -157,20 +157,16 @@ class CountPair:
 def _bound_x_masks(
     ps: PolySystem, abits: Sequence[int]
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Bind a into the system and project monomial masks onto the x-block.
+    """Bind a into the system (compiler._bind_a) and project the monomial
+    masks onto the x-block.
 
     Path variables occupy the high bits of the circuit universe, so after
-    substituting the a_i every mask shifts right by 2n into a compact
-    h-variable mask space with x_k on bit h-k.
+    binding the a_i every mask shifts right by 2n into a compact h-variable
+    mask space with x_k on bit h-k.
     """
-    bindings = {f"a{i}": bit for i, bit in enumerate(abits, 1)}
+    rows, phase = _bind_a(ps, abits)
     shift = 2 * ps.n
-    rows = [
-        tuple(m >> shift for m in p.substitute(bindings).monomial_masks)
-        for p in ps.row_polys
-    ]
-    phase = tuple(m >> shift for m in ps.phase.substitute(bindings).monomial_masks)
-    return rows, phase
+    return [tuple(m >> shift for m in row) for row in rows], tuple(m >> shift for m in phase)
 
 
 def _brute_tables(circuit: Circuit, abits: Sequence[int]) -> tuple[list[int], int, int]:

@@ -51,6 +51,23 @@ class PolySystem:
         return self.phase.universe
 
 
+def _bind_a(ps: PolySystem, abits: Sequence[int]) -> tuple[list[set[int]], set[int]]:
+    """The rows and the phase with the inputs bound to abits, as mask sets.
+
+    The masks of the inputs bound to 0 and to 1 are built once: a monomial
+    holding an input bound to 0 drops out, the inputs bound to 1 are cleared,
+    and terms that then coincide cancel in pairs.
+    """
+    mask_of = ps.universe.mask_of
+    zeros = mask_of(f"a{i}" for i, bit in enumerate(abits, 1) if not bit)
+    ones = mask_of(f"a{i}" for i, bit in enumerate(abits, 1) if bit)
+
+    def bind(p: Poly) -> set[int]:
+        return _mul_mono((m & ~ones for m in p.monomial_masks if not m & zeros), 0)
+
+    return [bind(p) for p in ps.row_polys], bind(ps.phase)
+
+
 def compile_circuit(circuit: Circuit) -> PolySystem:
     """Compile a circuit column by column into its polynomial system.
 
@@ -114,19 +131,19 @@ def assemble_systems(
     """Build the root systems F0 = (f_1..f_N, phi) and F1 = (f_1..f_N, phi+1).
 
     f_i is row_poly_i plus the output b_i, as a constant when b is bound and
-    as the variable b_i otherwise; a binds the a_i likewise.  Unbound
-    parameters stay symbolic.
+    as the variable b_i otherwise.  A bound a is bound once per call, on the
+    mask sets of all rows and the phase (_bind_a).  Unbound parameters stay
+    symbolic.
     """
     universe = ps.universe
-    bindings: dict = {}
-    if a is not None:
-        for i, bit in enumerate(parse_bits(a, ps.n, "a"), 1):
-            bindings[f"a{i}"] = bit
+    if a is None:
+        rows = [p.monomial_masks for p in ps.row_polys]
+        phase = ps.phase.monomial_masks
+    else:
+        rows, phase = _bind_a(ps, parse_bits(a, ps.n, "a"))
     if b is not None:
         b_terms = [(0,) if bit else () for bit in parse_bits(b, ps.n, "b")]
     else:
         b_terms = [(1 << universe.bit(f"b{i}"),) for i in range(1, ps.n + 1)]
-    rows = [p.substitute(bindings) if bindings else p for p in ps.row_polys]
-    phase = ps.phase.substitute(bindings) if bindings else ps.phase
-    f = tuple(Poly(universe, row.monomial_masks + term) for row, term in zip(rows, b_terms))
-    return (*f, phase), (*f, Poly(universe, phase.monomial_masks + (0,)))
+    f = tuple(Poly(universe, (*row, *term)) for row, term in zip(rows, b_terms))
+    return (*f, Poly(universe, phase)), (*f, Poly(universe, (*phase, 0)))

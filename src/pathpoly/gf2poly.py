@@ -12,18 +12,19 @@ monomials.  That lex order is the only term order: another precedence is
 another universe.  Polynomials store their masks sorted descending, which
 makes the canonical form unique and the leading monomial the first entry.
 
-This module is the one place that knows the mask representation.  All ring
-arithmetic is done on sets of masks: addition is symmetric difference,
-`_mul_mono` multiplies by a monomial (repeated terms cancel in pairs) and
-`_mul` multiplies two polynomials through it.  The compiler, Buchberger in
-`groebner` and the linear solve in `amplitudes` all compute with these two
-kernels, not with `Poly`.
+This module owns the mask layout and the ring kernels.  All ring arithmetic
+is done on sets of masks: addition is symmetric difference, `_mul_mono`
+multiplies by a monomial (repeated terms cancel in pairs) and `_mul`
+multiplies two polynomials through it.  The compiler, Buchberger in
+`groebner` and the linear solve in `amplitudes` compute on masks with these
+two kernels, not with `Poly`; `amplitudes._bound_x_masks` relies on the
+x-block sitting above the 2n input and output bits of `for_circuit`.
 
 `Poly` is the only polynomial type, and it is a value with no operators: it
-is built, inspected, bound to constants (`Poly.substitute`), evaluated,
-printed and parsed.  Its constructor is the one place that cancels and sorts
-terms, and truthiness is its one emptiness test: the zero polynomial is
-falsy.
+is built, inspected, evaluated, printed and parsed; binding inputs is a
+system operation (`compiler._bind_a`).  Its constructor is the one place that
+cancels and sorts terms, and truthiness is its one emptiness test: the zero
+polynomial is falsy.
 
 Printing costs O(degree) per monomial, independent of the universe size: a
 universe builds its bit-indexed table of names once, and a mask is read from
@@ -76,11 +77,6 @@ class VarUniverse:
             + [f"b{i}" for i in range(1, n + 1)]
         )
 
-    @classmethod
-    def of_paths(cls, h: int) -> "VarUniverse":
-        """A universe holding only the path variables x1..xh."""
-        return cls(f"x{i}" for i in range(1, h + 1))
-
     @property
     def size(self) -> int:
         return len(self.variables)
@@ -110,7 +106,9 @@ class VarUniverse:
         return "*".join(_top_down(self._by_bit, mask)) if mask else "1"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarUniverse) and self.variables == other.variables
+        return self is other or (
+            isinstance(other, VarUniverse) and self.variables == other.variables
+        )
 
     def __repr__(self) -> str:
         return f"VarUniverse({', '.join(self.variables)})"
@@ -206,23 +204,6 @@ class Poly:
                 raise ValueError(f"evaluate: variable {missing} is unbound")
             parity ^= (m & ~ones) == 0
         return parity
-
-    def substitute(self, bindings: Mapping[str, int]) -> "Poly":
-        """Bind variables to the constants 0 and 1.
-
-        A monomial containing a variable bound to 0 drops out, and a variable
-        bound to 1 is cleared from every monomial.
-        """
-        zeros = ones = 0
-        for v, val in bindings.items():
-            if val not in (0, 1):
-                raise ValueError(f"binding for {v} must be 0 or 1, got {val!r}")
-            bit = 1 << self.universe.bit(v)
-            if val:
-                ones |= bit
-            else:
-                zeros |= bit
-        return Poly(self.universe, (m & ~ones for m in self._masks if not m & zeros))
 
     def __str__(self) -> str:
         if not self._masks:

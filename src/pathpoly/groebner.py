@@ -26,8 +26,8 @@ Buchberger's coprime-lcm criterion prunes ordinary pairs; both are exercised
 against brute-force root enumeration in the test suite.
 
 Roots are counted in one place, _count_standard over a basis's leading
-monomials, which amplitudes.count_groebner drives; that module also holds
-the root-count cap.  On Poly values, buchberger returns the reduced basis as
+monomials, which amplitudes._gb_pair drives; that module also holds the
+root-count cap.  On Poly values, buchberger returns the reduced basis as
 a tuple (the gb verb prints it), and normal_form, s_polynomial and
 is_groebner_basis check Buchberger's criterion independently of the kernel.
 """

@@ -69,7 +69,7 @@ def basis_root_count(basis, universe: VarUniverse, variables=None) -> int:
 
 
 def path_universes(max_vars: int = 8) -> st.SearchStrategy[VarUniverse]:
-    return st.integers(1, max_vars).map(VarUniverse.of_paths)
+    return st.integers(1, max_vars).map(lambda h: VarUniverse.for_circuit(h, 0))
 
 
 def polys_over(universe: VarUniverse, max_monomials: int = 6) -> st.SearchStrategy[Poly]:

@@ -170,7 +170,7 @@ def test_criterion_7_standalone_groebner_vs_brute():
     rng = random.Random(SUITE_SEED)
     for _ in range(100):
         v = rng.randint(1, 10)
-        universe = VarUniverse.of_paths(v)
+        universe = VarUniverse.for_circuit(v, 0)
         width = (1 << v) - 1
         polys = [
             Poly(universe, [rng.randint(0, width) for _ in range(rng.randint(1, 4))])

@@ -262,7 +262,7 @@ def test_compiled_system_matches_bruteforce_at_every_point(c, data):
     ps = compile_circuit(c)
     a = bit_label(data.draw(st.integers(0, (1 << ps.n) - 1)), ps.n)
     b = bit_label(data.draw(st.integers(0, (1 << ps.n) - 1)), ps.n)
-    paths = VarUniverse.of_paths(ps.h)
+    paths = VarUniverse.for_circuit(ps.h, 0)
     f0, f1 = (
         [Poly.parse(str(p), paths) for p in system] for system in assemble_systems(ps, a, b)
     )
@@ -293,7 +293,8 @@ def test_brute_force_never_compiles(demo_circuit, monkeypatch):
 
     monkeypatch.setattr("pathpoly.amplitudes.compile_circuit", refuse)
     monkeypatch.setattr("pathpoly.amplitudes._bound_x_masks", refuse)
-    monkeypatch.setattr(Poly, "substitute", refuse)
+    monkeypatch.setattr("pathpoly.amplitudes._bind_a", refuse)
+    monkeypatch.setattr("pathpoly.compiler._bind_a", refuse)
     assert str(element(demo_circuit, "111", "101", Method.BRUTE)) == "-1/2"
     matrix = full_matrix(demo_circuit, Method.BRUTE)
     assert [[str(x) for x in row] for row in matrix.report_rows()] == DEMO_MATRIX

@@ -12,9 +12,12 @@ from pathpoly import (
     Circuit,
     Gate,
     Poly,
+    PolySystem,
+    VarUniverse,
     assemble_systems,
     bit_label,
     compile_circuit,
+    count_bruteforce,
     count_groebner,
     parse_bits,
     parse_circuit,
@@ -93,6 +96,77 @@ def test_assemble_partial_binding(demo_system):
     assert str(f0[3]) == "x1*x2*x4 + x1*x3"
 
 
+BIND_UNIVERSE = VarUniverse.for_circuit(4, 3)
+BIND_ROWS = ("x1*a1 + x2*a2", "x1*a1 + x1*a2 + a3", "x3")
+BIND_PHASE = "x4*a3 + x1*x2*x4"
+
+
+@pytest.mark.parametrize(
+    "a, rows, phase",
+    [
+        # a1 = 1 is cleared; a2 = 0 and a3 = 0 drop the monomials holding them
+        ("100", ("x1", "x1", "x3"), "x1*x2*x4"),
+        # x1*a1 and x1*a2 both become x1 and cancel in pairs
+        ("110", ("x1 + x2", "0", "x3"), "x1*x2*x4"),
+        # a bare input bound to 1 becomes the constant 1
+        ("001", ("0", "1", "x3"), "x1*x2*x4 + x4"),
+        # with a unbound nothing is bound
+        (None, BIND_ROWS, BIND_PHASE),
+    ],
+    ids=["constants_and_phase_term", "cancel_in_pairs", "bare_input_is_one", "unbound_is_identity"],
+)
+def test_assemble_binds_a_in_rows_and_phase(a, rows, phase):
+    u = BIND_UNIVERSE
+    ps = PolySystem(tuple(Poly.parse(r, u) for r in BIND_ROWS), Poly.parse(BIND_PHASE, u), 4, 3)
+    f0, f1 = assemble_systems(ps, a=a, b="000")
+    assert f0 == (*(Poly.parse(r, u) for r in rows), Poly.parse(phase, u))
+    assert f1[3] == Poly.parse(phase + " + 1", u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuits(), st.data())
+def test_assemble_bound_then_evaluate_composes(c, data):
+    # binding a and b, then evaluating at x, is evaluating the symbolic
+    # system at (x, a, b)
+    ps = compile_circuit(c)
+    n = ps.n
+    a = bit_label(data.draw(st.integers(0, (1 << n) - 1)), n)
+    b = bit_label(data.draw(st.integers(0, (1 << n) - 1)), n)
+    x = bit_label(data.draw(st.integers(0, (1 << ps.h) - 1)), ps.h)
+    point = {f"x{k}": int(v) for k, v in enumerate(x, 1)}
+    values = {
+        **point,
+        **{f"a{i}": int(v) for i, v in enumerate(a, 1)},
+        **{f"b{i}": int(v) for i, v in enumerate(b, 1)},
+    }
+    for symbolic, bound in zip(assemble_systems(ps), assemble_systems(ps, a, b)):
+        assert [f.evaluate(point) for f in bound] == [f.evaluate(values) for f in symbolic]
+
+
+def test_binding_is_linear_in_the_qubit_count(monkeypatch):
+    # one H on row 1 and n - 1 identity rows: binding a looks each input up
+    # once per call, not once per row
+    n = 300
+    c = parse_circuit(f"qubits {n}\ncolumns 1\nH\n" + "I\n" * (n - 1))
+    ps = compile_circuit(c)
+    zeros = "0" * n
+    lookups = 0
+    bit = VarUniverse.bit
+
+    def counting_bit(self, v):
+        nonlocal lookups
+        lookups += 1
+        return bit(self, v)
+
+    monkeypatch.setattr(VarUniverse, "bit", counting_bit)
+    pair = count_groebner(c, zeros, zeros)
+    assert lookups <= 3 * n
+    lookups = 0
+    assemble_systems(ps, a=zeros, b=zeros)
+    assert lookups <= n
+    assert pair == count_bruteforce(c, zeros, zeros)
+
+
 def test_assemble_identity_circuit():
     ps = compile_circuit(Circuit.empty(3, 2))
     f0, f1 = assemble_systems(ps, a="010", b="010")
@@ -114,6 +188,8 @@ def test_parse_bits_forms():
         parse_bits("012", 3)
     with pytest.raises(ValueError):
         parse_bits([2, 0], 2)
+    with pytest.raises(ValueError):
+        parse_bits([Poly.parse("x2"), 0], 2)
 
 
 def test_compile_is_deterministic(demo_circuit):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathpoly import Poly, VarUniverse
+from pathpoly import Poly, PolySystem, VarUniverse, assemble_systems
 from pathpoly.gf2poly import _mul
 
 from conftest import path_universes, points_over, polys_over, universe_and_polys
 
-U4 = VarUniverse.of_paths(4)
+U4 = VarUniverse.for_circuit(4, 0)
 UDEMO = VarUniverse.for_circuit(4, 3)
 
 
@@ -117,26 +117,26 @@ def test_mul_distinct_variables():
     assert str(Poly(U4, _mul(masks("x1", U4), masks("x2", U4)))) == "x1*x2"
 
 
-# substitution
+# binding inputs to constants: a system operation, seen here on one phase
+
+def bound_phase(text: str, a) -> Poly:
+    """The phase text with the inputs a1..a3 bound to a, through assemble_systems."""
+    ps = PolySystem((Poly(UDEMO),) * 3, p(text), 4, 3)
+    return assemble_systems(ps, a=a, b="000")[0][-1]
+
 
 def test_substitute_constants():
-    q = p("x1*a1 + x2*a2")
-    assert q.substitute({"a1": 1, "a2": 0}) == p("x1")
+    assert bound_phase("x1*a1 + x2*a2", "100") == p("x1")
 
 
 def test_substitute_phase_term():
-    q = p("x4*a3 + x1*x2*x4")
-    assert q.substitute({"a3": 0}) == p("x1*x2*x4")
-
-
-def test_substitute_empty_is_identity():
-    assert p("x1").substitute({}) == p("x1")
+    assert bound_phase("x4*a3 + x1*x2*x4", "110") == p("x1*x2*x4")
 
 
 @pytest.mark.parametrize("value", [p("x2", U4), 2], ids=["poly", "two"])
 def test_substitute_rejects_non_constants(value):
     with pytest.raises(ValueError):
-        p("x1 + x2", U4).substitute({"x1": value})
+        bound_phase("x1*a1 + x2", [value, 0, 0])
 
 
 # evaluation
@@ -220,18 +220,6 @@ def test_evaluate_is_a_ring_homomorphism(data):
     fv, gv = f.evaluate(point), g.evaluate(point)
     assert Poly(universe, set(fm) ^ set(gm)).evaluate(point) == fv ^ gv
     assert Poly(universe, _mul(fm, gm)).evaluate(point) == fv & gv
-
-
-@settings(max_examples=40)
-@given(st.data())
-def test_substitute_then_evaluate_composes(data):
-    universe = data.draw(path_universes(6))
-    f = data.draw(polys_over(universe))
-    values = data.draw(points_over(universe))
-    bound = data.draw(st.sets(st.sampled_from(universe.variables)))
-    bindings = {v: b for v, b in values.items() if v in bound}
-    point = {v: b for v, b in values.items() if v not in bound}
-    assert f.substitute(bindings).evaluate(point) == f.evaluate(values)
 
 
 # rendering and parsing

@@ -21,8 +21,8 @@ from pathpoly.groebner import _count_standard, _gb_masks
 
 from conftest import basis_root_count, brute_root_count, polys_over, universe_and_polys
 
-U2 = VarUniverse.of_paths(2)
-U4 = VarUniverse.of_paths(4)
+U2 = VarUniverse.for_circuit(2, 0)
+U4 = VarUniverse.for_circuit(4, 0)
 UDEMO = VarUniverse.for_circuit(4, 3)
 
 KNOWN_G0_GENERATORS = [
@@ -147,7 +147,7 @@ def test_buchberger_criterion_holds(up):
 
 
 def test_is_groebner_basis_rejects_a_failed_field_pair_or_s_pair():
-    u = VarUniverse.of_paths(3)
+    u = VarUniverse.for_circuit(3, 0)
     # one generator has no S-pair, but its field pair x1*(x1*x2 + x3) reduces
     # to x1*x3 + x3
     assert not is_groebner_basis((p("x1*x2 + x3", u),))
@@ -294,7 +294,7 @@ def test_count_standard_matches_flat_enumeration(n_vars, data):
 def test_buchberger_root_count_matches_brute_force_over_16_variables():
     # 16 variables through the public buchberger must match brute force
     rng = random.Random(7)
-    u = VarUniverse.of_paths(16)
+    u = VarUniverse.for_circuit(16, 0)
     polys = [
         Poly(u, [rng.randrange(1 << 16) & 0b1111 for _ in range(3)] + [0] * (i & 1))
         for i in range(3)
