@@ -9,6 +9,7 @@ and are cross-checked against an independent exact dense unitary.
 from .amplitudes import (
     Amplitude,
     BRUTE_HADAMARD_CAP,
+    BRUTE_TABLE_BITS_CAP,
     CountPair,
     ExactMatrix,
     MATRIX_QUBIT_CAP,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Amplitude",
     "BRUTE_HADAMARD_CAP",
+    "BRUTE_TABLE_BITS_CAP",
     "BrokenChain",
     "COMPILE_PRODUCT_CAP",
     "CapExceeded",

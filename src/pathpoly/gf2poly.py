@@ -15,10 +15,13 @@ makes the canonical form unique and the leading monomial the first entry.
 This module owns the mask layout and the ring kernels.  All ring arithmetic
 is done on sets of masks: addition is symmetric difference, `_mul_mono`
 multiplies by a monomial (repeated terms cancel in pairs) and `_mul`
-multiplies two polynomials through it.  The compiler, Buchberger in
-`groebner` and the linear solve in `amplitudes` compute on masks with these
-two kernels, not with `Poly`; `amplitudes._bound_x_masks` relies on the
-x-block sitting above the 2n input and output bits of `for_circuit`.
+multiplies two polynomials by counting the ORs of all term pairs, keeping
+the masks formed an odd number of times.  The compiler multiplies control
+rows with `_mul`.  Buchberger in `groebner` multiplies only by monomials,
+and the linear solve in `amplitudes` XORs in one `_mul_mono` per substituted
+term, since its polynomials have a few terms and counting costs more there.
+None of them computes with `Poly`.  `amplitudes._bound_x_masks` relies on
+the x-block sitting above the 2n input and output bits of `for_circuit`.
 
 `Poly` is the only polynomial type, and it is a value with no operators: it
 is built, inspected, evaluated, printed and parsed; binding inputs is a
@@ -33,7 +36,10 @@ its top set bit down, one `int.bit_length` per variable.
 from __future__ import annotations
 
 import re
-from typing import Collection, Iterable, Mapping
+from collections import Counter
+from itertools import product, starmap
+from operator import or_
+from typing import Iterable, Mapping
 
 
 # The variable names: path x_k, input a_i and output b_i, indices from 1.
@@ -139,12 +145,13 @@ def _mul_mono(p: Iterable[int], q: int) -> set[int]:
     return out
 
 
-def _mul(p: Collection[int], q: Iterable[int]) -> set[int]:
-    """The mask polynomial p times q: the XOR of p times each term of q."""
-    out: set[int] = set()
-    for m in q:
-        out ^= _mul_mono(p, m)
-    return out
+def _mul(p: Iterable[int], q: Iterable[int]) -> set[int]:
+    """The mask polynomial p times q: the ORs of all term pairs, counted.
+
+    Terms that coincide cancel in pairs, so a mask survives exactly when an
+    odd number of pairs form it.  The pairs are ORed and counted in C."""
+    counts = Counter(starmap(or_, product(p, q)))
+    return {m for m, c in counts.items() if c & 1}
 
 
 class Poly:

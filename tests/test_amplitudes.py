@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathpoly import cli
 from pathpoly import (
     Amplitude,
     CapExceeded,
@@ -102,7 +103,7 @@ def test_count_bruteforce_double_hadamard():
 
 def test_count_bruteforce_cap(monkeypatch):
     c = parse_circuit("qubits 5\ncolumns 5\n" + "H H H H H\n" * 5)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"brute force over 2\^25 assignments"):
         count_bruteforce(c, "00000", "00000")
 
     # past the root-count cap, the Groebner method refuses before compiling
@@ -118,6 +119,34 @@ def test_count_bruteforce_cap(monkeypatch):
     wide = parse_circuit("qubits 3\ncolumns 7\n" + "H H H H H H H\n" * 3)
     with pytest.raises(CapExceeded, match="root counting over 21 variables"):
         full_matrix(wide, Method.GB)
+
+
+# H on rows 1-22, then 200 Iv/Av row pairs: 446 truth tables of 2^22 bits
+WIDE_BRUTE_TEXT = "qubits 422\ncolumns 2\n" + "H I\n" * 22 + "I Iv\nI Av\n" * 200
+
+
+def test_brute_table_bits_cap_refuses_many_rows_of_wide_tables(tmp_path):
+    c = parse_circuit(WIDE_BRUTE_TEXT)
+    a = "0" * 22 + "10" * 200
+    message = r"brute force over 446 truth tables of 2\^22 bits exceeds the cap"
+    with pytest.raises(CapExceeded, match=message):
+        count_bruteforce(c, a, a)
+    with pytest.raises(CapExceeded, match=message):
+        row_counts(c, a)
+    path = tmp_path / "wide_brute.qc"
+    path.write_text(WIDE_BRUTE_TEXT, encoding="utf-8")
+    assert cli.main(["element", str(path), "--method", "brute", "--a", a, "--b", a]) == 2
+
+
+def test_brute_table_bits_cap_admits_exactly_its_bound(monkeypatch):
+    # n = 2, h = 3: the walk holds 2 rows, the phase, the all-ones table and
+    # 3 patterns, 7 tables of 2^3 bits
+    c = parse_circuit("qubits 2\ncolumns 3\nH Iv H\nH Av I\n")
+    monkeypatch.setattr("pathpoly.amplitudes.BRUTE_TABLE_BITS_CAP", 7 << 3)
+    assert count_bruteforce(c, "01", "10") == count_groebner(c, "01", "10")
+    monkeypatch.setattr("pathpoly.amplitudes.BRUTE_TABLE_BITS_CAP", (7 << 3) - 1)
+    with pytest.raises(CapExceeded, match=r"7 truth tables of 2\^3 bits"):
+        count_bruteforce(c, "01", "10")
 
 
 def test_count_groebner_demo_rows(demo_circuit):

@@ -289,6 +289,11 @@ def test_parse_bad_token_names_it():
             parse_circuit(f"qubits 1\ncolumns 1\n{bad}\n")
         assert repr(bad) in str(e.value)
         assert e.value.line == 3
+    # the first unknown token of a row is reported, at its 1-based column
+    with pytest.raises(CircuitSyntaxError) as e:
+        parse_circuit("qubits 1\ncolumns 3\nI Qv X\n")
+    assert (e.value.line, e.value.column) == (3, 2)
+    assert str(e.value) == "line 3, token 2: unknown gate token 'Qv'"
 
 
 @pytest.mark.parametrize(

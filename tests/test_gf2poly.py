@@ -117,6 +117,13 @@ def test_mul_distinct_variables():
     assert str(Poly(U4, _mul(masks("x1", U4), masks("x2", U4)))) == "x1*x2"
 
 
+def test_mul_keeps_the_masks_formed_an_odd_number_of_times():
+    # all three pairs of (x1 + x2 + x1*x2)*(x1*x2) form x1*x2, and both of
+    # (x1 + x2)*(x1*x2) do
+    assert _mul(masks("x1 + x2 + x1*x2", U4), masks("x1*x2", U4)) == masks("x1*x2", U4)
+    assert not _mul(masks("x1 + x2", U4), masks("x1*x2", U4))
+
+
 # binding inputs to constants: a system operation, seen here on one phase
 
 def bound_phase(text: str, a) -> Poly:
@@ -220,6 +227,17 @@ def test_evaluate_is_a_ring_homomorphism(data):
     fv, gv = f.evaluate(point), g.evaluate(point)
     assert Poly(universe, set(fm) ^ set(gm)).evaluate(point) == fv ^ gv
     assert Poly(universe, _mul(fm, gm)).evaluate(point) == fv & gv
+
+
+@settings(max_examples=60)
+@given(universe_and_polys(max_vars=6, count=2))
+def test_mul_is_the_pointwise_product(up):
+    # at every point, not only at a drawn one
+    universe, (f, g) = up
+    product = Poly(universe, _mul(f.monomial_masks, g.monomial_masks))
+    for bits in range(1 << universe.size):
+        point = {v: (bits >> i) & 1 for i, v in enumerate(universe.variables)}
+        assert product.evaluate(point) == f.evaluate(point) & g.evaluate(point)
 
 
 # rendering and parsing
