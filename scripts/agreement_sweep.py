@@ -4,8 +4,9 @@
 Samples random valid circuits, computes the full matrix by brute-force
 counting, by Groebner counting and by the dense oracle, and reports exact
 agreement plus timing and structural-invariant statistics.  Amplitudes
-are only N0 - N1, so the N0/N1 counts of the all-zeros input row are also
-compared between brute force and Groebner counting.  Each circuit C is also
+are only N0 - N1, so the N0/N1 counts of every input row a are also
+compared between brute force and Groebner counting, and each row must
+conserve paths: its counts sum to 2^h.  Each circuit C is also
 mirrored: C followed by its columns in reverse order is the identity, since
 every column is its own inverse, so <a|U|a> = 1 and <b|U|a> = 0 for b != a
 at twice the h.  Brute force checks that for a = 0...0 and for one drawn a,
@@ -72,11 +73,13 @@ def main() -> int:
     conserved = counts_agree = unitary = 0
     for circuit, u in zip(circuits, oracle):
         n = circuit.n_qubits
-        a = "0" * n
-        pairs = row_counts(circuit, a)
-        conserved += sum(p.n0 + p.n1 for p in pairs) == 1 << circuit.h
-        gb = tuple(count_groebner(circuit, a, bit_label(b, n)) for b in range(1 << n))
-        counts_agree += gb == pairs
+        labels = [bit_label(v, n) for v in range(1 << n)]
+        rows = [row_counts(circuit, a) for a in labels]
+        conserved += all(sum(p.n0 + p.n1 for p in pairs) == 1 << circuit.h for pairs in rows)
+        counts_agree += all(
+            tuple(count_groebner(circuit, a, b) for b in labels) == pairs
+            for a, pairs in zip(labels, rows)
+        )
         unitary += (u.transpose() @ u) == ExactMatrix.identity(u.dim)
     print(f"path conservation holds: {conserved} / {len(circuits)}")
     print(f"GB counts = brute counts: {counts_agree} / {len(circuits)}")

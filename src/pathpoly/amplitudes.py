@@ -8,7 +8,11 @@ compile cap does not bind it.  Groebner-based root counting first solves the
 compiled, bound rows for every path variable that one of them fixes linearly
 and substitutes it away; on the residual system it takes N0 + N1 from the
 reduced basis of the rows, and N0 from the reduced basis of the rows and
-the phase, i.e. of F0; F1 is never built.
+the phase, i.e. of F0; F1 is never built.  The second basis is skipped
+when a free variable y that no residual row holds is in the substituted
+phase only as the monomial y: flipping y flips the phase of every root, so
+N0 = N1 = (N0 + N1)/2 (the balanced-variable step of the path-sum
+reduction, Montanaro arXiv:1607.08473, Amy arXiv:1805.06908).
 An Amplitude is a value m * sqrt(2)^(-e) of Z[1/sqrt(2)], built once from a
 count difference and kept normalized to compare and render; nothing adds or
 multiplies amplitudes, and no floating point appears anywhere.  full_matrix
@@ -283,6 +287,21 @@ def _solve_linear(
             _substitute(p, v, g)
 
 
+def _balanced(rows: Sequence[set[int]], phi: set[int], free: int) -> bool:
+    """True when some free variable y is in no row and in phi only as the
+    monomial y: flipping y then flips the phase of every root."""
+    cover = 0
+    for m in chain.from_iterable(rows):
+        cover |= m
+    singles = 0
+    for m in phi:
+        if m & (m - 1):
+            cover |= m
+        else:
+            singles |= m
+    return bool(singles & free & ~cover)
+
+
 def _gb_pair(
     rows: Sequence[tuple[int, ...]],
     phase: tuple[int, ...],
@@ -297,7 +316,9 @@ def _gb_pair(
     with the substituted phase; N1 is the difference.  Rows without a common
     root have the unit basis, whose leading monomial 1 leaves no standard
     monomial.  A free variable that occurs nowhere is a free leaf of the
-    count, a factor 2.
+    count, a factor 2.  When the substituted phase is balanced (_balanced)
+    by a free y, flipping y pairs each root of phase 0 with one of phase 1,
+    so N0 = N1 = total/2 and the rows-and-phase basis is skipped.
     """
     bound = [set(masks) ^ {0} if bit else set(masks) for masks, bit in zip(rows, bbits)]
     solved = _solve_linear(bound, phase, h)
@@ -305,6 +326,8 @@ def _gb_pair(
         return CountPair(0, 0)
     f, phi, free = solved
     total = _count_standard([g[0] for g in _gb_masks(f, h)], free)
+    if _balanced(f, phi, free):
+        return CountPair(total >> 1, total >> 1)
     n0 = _count_standard([g[0] for g in _gb_masks([*f, phi], h)], free)
     return CountPair(n0, total - n0)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathpoly import cli
+from pathpoly import amplitudes, cli
 from pathpoly import (
     Amplitude,
     CapExceeded,
@@ -201,6 +201,72 @@ def test_count_groebner_without_hadamards():
     assert c.h == 0
     assert count_groebner(c, "10", "11") == CountPair(1, 0)
     assert count_groebner(c, "10", "10") == CountPair(0, 0)
+
+
+def _spy_gb_masks(monkeypatch) -> list:
+    """Record the mask polynomials of every _gb_masks call."""
+    calls = []
+    real = amplitudes._gb_masks
+
+    def spy(mask_polys, n_vars):
+        calls.append(list(mask_polys))
+        return real(mask_polys, n_vars)
+
+    monkeypatch.setattr(amplitudes, "_gb_masks", spy)
+    return calls
+
+
+def test_balanced_phase_skips_the_phase_basis(monkeypatch):
+    # the row x2 and the phase x1*x2 (a = 0); b = 1 solves x2 := 1, which
+    # leaves no row and the phase x1, balanced by x1: N0 = N1 = total/2
+    c = parse_circuit("qubits 1\ncolumns 2\nH H\n")
+    calls = _spy_gb_masks(monkeypatch)
+    assert count_groebner(c, "0", "1") == count_bruteforce(c, "0", "1") == CountPair(1, 1)
+    assert calls == [[]]
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        # the phase x1 after the solve, but x1 is also in the residual row
+        # x1*x2 + x2, which has no linear pivot
+        ("qubits 3\ncolumns 4\nH I  Iv H\nH Iv Mv H\nI Av Av I\n", "000", "100"),
+        # the phase x1*x2 + x2: x2 is also in a product
+        ("qubits 1\ncolumns 3\nH H H\n", "0", "1"),
+        # the bound phase x1 would balance, but the row x1 pivots x1 := 0
+        # away, so the substituted phase is 0
+        ("qubits 1\ncolumns 1\nH\n", "1", "0"),
+    ],
+    ids=["in-a-row", "in-a-product", "pivoted"],
+)
+def test_unbalanced_phase_runs_both_bases(monkeypatch, text, a, b):
+    c = parse_circuit(text)
+    calls = _spy_gb_masks(monkeypatch)
+    pair = count_groebner(c, a, b)
+    assert len(calls) == 2
+    assert pair == count_bruteforce(c, a, b)
+    assert pair.n0 != pair.n1
+
+
+def test_groebner_counts_equal_brute_counts_on_every_binding(monkeypatch):
+    # N0 and N1 each, not only N0 - N1; the balanced-phase rule must fire
+    # on some bindings and not on others, or this gates only one branch
+    fired = []
+    real = amplitudes._balanced
+
+    def spy(*args):
+        fired.append(real(*args))
+        return fired[-1]
+
+    monkeypatch.setattr(amplitudes, "_balanced", spy)
+    rng = random.Random(29)
+    for _ in range(40):
+        c = random_circuit(rng, 4, 8, 10)
+        outputs = [bit_label(v, c.n_qubits) for v in range(1 << c.n_qubits)]
+        for a in outputs:
+            for b in outputs:
+                assert count_groebner(c, a, b) == count_bruteforce(c, a, b)
+    assert any(fired) and not all(fired)
 
 
 def test_count_paths_dispatch(demo_circuit):
